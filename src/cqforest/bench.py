@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, SimConfig, simulate, true_quantile
-from .estimator import CqrConfig, predict_with_weights
+from .data import DataError, Dataset, SimConfig, check_taus, simulate, true_quantile
+from .estimator import CqrConfig, _select_root, predict_with_weights
 from .forest import ForestConfig, WeightVector, fit, quantile_from_weights, support_grid, weight_matrix
 from .metrics import c_index, quantile_losses
 from .survival import km
@@ -86,12 +86,7 @@ class ExperimentSpec:
             raise DataError("n_train and n_test must be positive")
         if self.trees < 1:
             raise DataError("trees must be >= 1")
-        taus = tuple(float(t) for t in self.taus)
-        if not taus or any(not 0.0 < t < 1.0 for t in taus):
-            raise DataError("taus must be nonempty, each in (0, 1)")
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise DataError("taus must be strictly increasing")
-        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "taus", check_taus(self.taus))
         sizes = tuple(int(m) for m in self.node_sizes)
         if any(m < 1 for m in sizes):
             raise DataError("node sizes must be positive")
@@ -116,12 +111,6 @@ def _node_sizes(spec):
     return (max(1, spec.n_train // 10),)
 
 
-def _first_root(cands, scores):
-    nonneg = np.flatnonzero(scores >= 0.0)
-    idx = int(nonneg[0]) if nonneg.size else int(np.argmin(np.abs(scores)))
-    return float(cands[idx])
-
-
 def illustrative_roots(n, seed, tau=0.5):
     """Roots of the two one-dimensional estimating equations.
 
@@ -138,13 +127,16 @@ def illustrative_roots(n, seed, tau=0.5):
     event = t <= c
     w = WeightVector.uniform(n)
 
-    lat_cands, lat_above = support_grid(w, t)
-    root_u1 = _first_root(lat_cands, (1.0 - tau) - lat_above)
+    root_u1 = quantile_from_weights(w, t, tau)
 
     cands, above = support_grid(w, y)
     g = km(y, event).evaluate(cands)
-    root_u2 = _first_root(cands, (1.0 - tau) * g - above)
+    root_u2 = float(cands[_select_root((1.0 - tau) * g - above)])
     return root_u1, root_u2
+
+
+def _censor_rate(spec, model):
+    return spec.censor_rate if spec.censor_rate is not None else _DEFAULT_RATE[model]
 
 
 def _simulate_pair(model, spec, rep, rate):
@@ -166,23 +158,33 @@ def _oracle_dataset(train):
     )
 
 
+def _weights(forest, xmat):
+    """Forest weight vectors at every row of xmat."""
+    wmat = weight_matrix(forest, xmat)
+    return [WeightVector.from_dense(wmat[i]) for i in range(wmat.shape[0])]
+
+
+def _crf_qhat(xmat, weights, train, cfg):
+    """(n_test, len(cfg.taus)) censoring-adjusted quantiles from precomputed weights."""
+    return np.array([[p.q_hat for p in predict_with_weights(x, w, train, cfg)] for x, w in zip(xmat, weights)])
+
+
 def _emit(rows, scenario, method, tau, node_size, rep, metric, value):
     if value is not None:
         rows.append((scenario, method, tau, node_size, rep, metric, float(value)))
 
 
-def _emit_report(rows, scenario, method, tau, node_size, rep, report, cidx):
+def _emit_scores(rows, scenario, method, tau, node_size, rep, test, true_q, q):
+    """Losses of q against the test rows' latent times, and its c-index when defined."""
+    report = quantile_losses(test.latent, true_q, q, tau)
+    try:
+        cidx = c_index(q, test.response, test.event)
+    except DataError:
+        cidx = None
     _emit(rows, scenario, method, tau, node_size, rep, "l_mse", report.l_mse)
     _emit(rows, scenario, method, tau, node_size, rep, "l_mad", report.l_mad)
     _emit(rows, scenario, method, tau, node_size, rep, "l_quantile", report.l_quantile)
     _emit(rows, scenario, method, tau, node_size, rep, "c_index", cidx)
-
-
-def _safe_c_index(pred, test):
-    try:
-        return c_index(pred, test.response, test.event)
-    except DataError:
-        return None
 
 
 def _crf_variants(spec, node_size):
@@ -198,7 +200,7 @@ def _crf_variants(spec, node_size):
 
 
 def _run_model_scenario(spec, model, rows, threads):
-    rate = spec.censor_rate if spec.censor_rate is not None else _DEFAULT_RATE[model]
+    rate = _censor_rate(spec, model)
     want_qrf = "qrf" in spec.methods and spec.scenario != "survival-comparison"
     want_oracle = "qrf_oracle" in spec.methods and spec.scenario != "survival-comparison"
     for rep in range(spec.replications):
@@ -206,32 +208,23 @@ def _run_model_scenario(spec, model, rows, threads):
         true_q = {tau: true_quantile(model, test.features, tau) for tau in spec.taus}
         for m in _node_sizes(spec):
             fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
-            forest = fit(train, fcfg, threads=threads)
-            wmat = weight_matrix(forest, test.features)
-            weights = [WeightVector.from_dense(wmat[i]) for i in range(test.n)]
+            weights = _weights(fit(train, fcfg, threads=threads), test.features)
             for label, cfg in _crf_variants(spec, m):
-                preds = [predict_with_weights(test.features[i], weights[i], train, cfg) for i in range(test.n)]
+                q_hat = _crf_qhat(test.features, weights, train, cfg)
                 for j, tau in enumerate(spec.taus):
-                    q = np.array([p[j].q_hat for p in preds])
-                    rep_losses = quantile_losses(test.latent, true_q[tau], q, tau)
-                    _emit_report(rows, spec.scenario, label, tau, m, rep, rep_losses, _safe_c_index(q, test))
+                    _emit_scores(rows, spec.scenario, label, tau, m, rep, test, true_q[tau], q_hat[:, j])
+            # plain weighted quantiles: of the observed response, and of the
+            # latent response under a forest refitted on it
+            plain = []
             if want_qrf:
-                for tau in spec.taus:
-                    q = np.array([quantile_from_weights(w, train.response, tau) for w in weights])
-                    rep_losses = quantile_losses(test.latent, true_q[tau], q, tau)
-                    _emit_report(rows, spec.scenario, "qrf", tau, m, rep, rep_losses, _safe_c_index(q, test))
+                plain.append(("qrf", train.response, weights))
             if want_oracle:
                 oracle = fit(_oracle_dataset(train), fcfg, threads=threads)
-                womat = weight_matrix(oracle, test.features)
+                plain.append(("qrf_oracle", oracle.response, _weights(oracle, test.features)))
+            for method, response, method_weights in plain:
                 for tau in spec.taus:
-                    q = np.array(
-                        [
-                            quantile_from_weights(WeightVector.from_dense(womat[i]), oracle.response, tau)
-                            for i in range(test.n)
-                        ]
-                    )
-                    rep_losses = quantile_losses(test.latent, true_q[tau], q, tau)
-                    _emit_report(rows, spec.scenario, "qrf_oracle", tau, m, rep, rep_losses, _safe_c_index(q, test))
+                    q = np.array([quantile_from_weights(w, response, tau) for w in method_weights])
+                    _emit_scores(rows, spec.scenario, method, tau, m, rep, test, true_q[tau], q)
 
 
 def _run_illustrative(spec, rows):
@@ -245,20 +238,15 @@ def _run_illustrative(spec, rows):
 
 def _run_coverage(spec, rows, threads, level=0.95):
     model = _SCENARIO_MODEL[spec.scenario]
-    rate = spec.censor_rate if spec.censor_rate is not None else _DEFAULT_RATE[model]
+    rate = _censor_rate(spec, model)
     alpha = (1.0 - level) / 2.0
     cfg = CqrConfig(taus=(alpha, 1.0 - alpha))
     m = _node_sizes(spec)[0]
     for rep in range(spec.replications):
         train, test = _simulate_pair(model, spec, rep, rate)
         fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
-        forest = fit(train, fcfg, threads=threads)
-        wmat = weight_matrix(forest, test.features)
-        lo = np.empty(test.n)
-        hi = np.empty(test.n)
-        for i in range(test.n):
-            pair = predict_with_weights(test.features[i], WeightVector.from_dense(wmat[i]), train, cfg)
-            lo[i], hi[i] = pair[0].q_hat, pair[1].q_hat
+        weights = _weights(fit(train, fcfg, threads=threads), test.features)
+        lo, hi = _crf_qhat(test.features, weights, train, cfg).T
         covered = (test.latent >= lo) & (test.latent <= hi)
         _emit(rows, spec.scenario, "crf", level, m, rep, "coverage", covered.mean())
         _emit(rows, spec.scenario, "crf", level, m, rep, "interval_width", (hi - lo).mean())
@@ -266,7 +254,7 @@ def _run_coverage(spec, rows, threads, level=0.95):
 
 def _run_runtime(spec, rows, threads):
     model = _SCENARIO_MODEL[spec.scenario]
-    rate = spec.censor_rate if spec.censor_rate is not None else _DEFAULT_RATE[model]
+    rate = _censor_rate(spec, model)
     cfg = CqrConfig(taus=(0.5,))
     for rep in range(spec.replications):
         for n in _RUNTIME_SIZES:
@@ -280,9 +268,7 @@ def _run_runtime(spec, rows, threads):
             fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2, n))
             forest = fit(train, fcfg, threads=threads)
             start = time.perf_counter()
-            wmat = weight_matrix(forest, test.features)
-            for i in range(test.n):
-                predict_with_weights(test.features[i], WeightVector.from_dense(wmat[i]), train, cfg)
+            _crf_qhat(test.features, _weights(forest, test.features), train, cfg)
             elapsed = time.perf_counter() - start
             _emit(rows, spec.scenario, "crf", 0.5, m, rep, "seconds_per_prediction", elapsed / test.n)
 

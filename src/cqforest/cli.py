@@ -7,7 +7,6 @@ randomness flows from --seed flags, and exit codes are 0 (success),
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -48,10 +47,6 @@ def _survival_arg(text):
             raise argparse.ArgumentTypeError(f"invalid neighbor count in {text!r}") from None
         return ("km-knn", k)
     raise argparse.ArgumentTypeError(f"expected 'beran-rf' or 'km-knn:<k>', got {text!r}")
-
-
-def _default_threads():
-    return os.cpu_count() or 1
 
 
 def _cmd_simulate(args):
@@ -186,7 +181,7 @@ def _build_parser():
     sp.add_argument("--mtry", type=int, default=None, help="features tried per split (default: ceil(p/3))")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--model-out", required=True, help="output model file (JSON)")
-    sp.add_argument("--threads", type=int, default=_default_threads())
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("predict", help="estimate quantiles at new feature points")
@@ -201,7 +196,7 @@ def _build_parser():
         help="censoring-curve estimator: beran-rf or km-knn:<k>",
     )
     sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--threads", type=int, default=_default_threads())
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_predict)
 
     sp = sub.add_parser("evaluate", help="score a prediction file against outcomes")
@@ -214,7 +209,7 @@ def _build_parser():
     sp = sub.add_parser("bench", help="run a benchmark spec file")
     sp.add_argument("--spec", required=True, help="key=value spec file")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--threads", type=int, default=_default_threads())
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_bench)
     return parser
 

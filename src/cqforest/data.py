@@ -18,6 +18,27 @@ class DataError(ValueError):
     """Raised for malformed input data (files or arrays)."""
 
 
+def check_tau(tau):
+    """tau as a float, or DataError unless it lies in (0, 1)."""
+    try:
+        tau = float(tau)
+    except (TypeError, ValueError):
+        raise DataError(f"tau must be a number, got {tau!r}") from None
+    if not 0.0 < tau < 1.0:
+        raise DataError("tau must lie in (0, 1)")
+    return tau
+
+
+def check_taus(taus):
+    """A nonempty, strictly increasing tuple of taus, each in (0, 1)."""
+    taus = tuple(check_tau(t) for t in taus)
+    if not taus:
+        raise DataError("taus must be nonempty")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise DataError("taus must be strictly increasing")
+    return taus
+
+
 MODELS = ("aft1d", "sine1d", "aft-multi", "complex")
 
 # Fixed coefficient vector of the multi-dimensional log-linear model.
@@ -182,8 +203,7 @@ def true_quantile(model, x, tau, noise_sd=0.3):
     -------
     float or ndarray matching the batch shape of ``x``.
     """
-    if not 0.0 < tau < 1.0:
-        raise DataError("tau must lie in (0, 1)")
+    tau = check_tau(tau)
     p = model_dim(model)
     xa = np.asarray(x, dtype=np.float64)
     scalar = xa.ndim < 2

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
-from .forest import forest_weights, mass_above, support_grid, weight_matrix, WeightVector
+from .data import DataError, check_tau, check_taus
+from .forest import forest_weights, mass_above, weight_matrix, WeightVector
 from .survival import beran_rf, km_knn, nearest_rows
 
 SURVIVAL_MODES = ("beran-rf", "km-knn")
@@ -53,16 +53,9 @@ class CqrConfig:
                 raise DataError("km-knn mode requires knn >= 1")
         elif self.knn is not None:
             raise DataError("knn only applies to km-knn mode")
-        taus = tuple(float(t) for t in self.taus)
-        if not taus:
-            raise DataError("taus must be nonempty")
-        if any(not 0.0 < t < 1.0 for t in taus):
-            raise DataError("each tau must lie in (0, 1)")
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise DataError("taus must be strictly increasing")
+        object.__setattr__(self, "taus", check_taus(self.taus))
         if self.search_radius is not None and not self.search_radius > 0:
             raise DataError("search_radius must be positive")
-        object.__setattr__(self, "taus", taus)
 
 
 @dataclass
@@ -84,8 +77,7 @@ class QuantilePrediction:
 
 def score(q, tau, w, curve, y):
     """Evaluate S(q; tau) at scalar or array q (strict indicator Y > q)."""
-    if not 0.0 < tau < 1.0:
-        raise DataError("tau must lie in (0, 1)")
+    tau = check_tau(tau)
     g = curve.evaluate(q)
     above = mass_above(w, y, q)
     return (1.0 - tau) * g - above
@@ -119,12 +111,8 @@ def _fit_curve(data, w, cfg):
 
 def _candidate_scores(data, w, cfg):
     """Candidates, their strict-above mass, and curve values, shared by all taus."""
-    y = data.response
-    if cfg.survival == "beran-rf":
-        cands, above = support_grid(w, y)
-    else:
-        cands = candidate_set(w, y, "km-knn", cfg.knn)
-        above = mass_above(w, y, cands)
+    cands = candidate_set(w, data.response, cfg.survival, cfg.knn)
+    above = mass_above(w, data.response, cands)
     if cfg.search_radius is not None:
         keep = np.abs(cands) <= cfg.search_radius
         if not keep.any():
@@ -167,12 +155,6 @@ def _predictions_at(x, w, data, cfg, taus):
     return out
 
 
-def _check_tau(tau):
-    if not 0.0 < tau < 1.0:
-        raise DataError("tau must lie in (0, 1)")
-    return float(tau)
-
-
 def predict_with_weights(x, w, data, cfg):
     """Grid predictions at x from precomputed weights.
 
@@ -190,7 +172,7 @@ def predict_quantile(forest, data, x, tau, cfg=CqrConfig()):
     and picks the root of the estimating equation over the candidate
     responses.
     """
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     x = np.asarray(x, dtype=np.float64).ravel()
     w = forest_weights(forest, x)
     return _predictions_at(x, w, data, cfg, (tau,))[0]

@@ -9,6 +9,7 @@ adjusted estimating equation.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, check_tau
 
 
 @dataclass(frozen=True)
@@ -263,19 +264,14 @@ def fit(data, cfg, threads=1, feature_names=None):
     )
 
 
-def _leaf_of(tree, x):
-    nid = 0
-    while tree.feature[nid] >= 0:
-        nid = tree.left[nid] if x[tree.feature[nid]] <= tree.threshold[nid] else tree.right[nid]
-    return nid
-
-
 def apply(tree, xmat):
     """Leaf node id for every row of xmat, vectorized over rows."""
     out = np.empty(xmat.shape[0], dtype=np.int32)
     stack = [(0, np.arange(xmat.shape[0]))]
     while stack:
         nid, idx = stack.pop()
+        if idx.size == 0:
+            continue
         if tree.feature[nid] < 0:
             out[idx] = nid
             continue
@@ -285,29 +281,44 @@ def apply(tree, xmat):
     return out
 
 
-def tree_weights(tree, x, n=None):
-    """Weights 1/|leaf| on the in-bag rows co-leafed with x, 0 elsewhere."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    rows = tree.leaf_rows[_leaf_of(tree, x)]
-    n = int(n) if n is not None else int(tree.bag.max()) + 1
-    dense = np.zeros(n)
-    np.add.at(dense, rows, 1.0 / rows.size)
-    return WeightVector.from_dense(dense)
+def _add_tree_mass(out, tree, xmat, b):
+    """Add 1/(b * |leaf|) per in-bag row co-leafed with each row of xmat into out."""
+    leaves = apply(tree, xmat)
+    for leaf in np.unique(leaves):
+        rows = tree.leaf_rows[leaf]
+        pts = np.flatnonzero(leaves == leaf)
+        np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (b * rows.size))
+
+
+def _points(xmat, p):
+    """xmat as a finite float matrix with p columns, else DataError."""
+    xmat = np.atleast_2d(np.asarray(xmat, dtype=np.float64))
+    if xmat.ndim != 2 or xmat.shape[1] != p:
+        raise DataError("test features have the wrong dimension")
+    if not np.isfinite(xmat).all():
+        raise DataError("test features must be finite")
+    return xmat
+
+
+def tree_weights(tree, x, n):
+    """Weights 1/|leaf| on the in-bag rows co-leafed with x, 0 elsewhere.
+
+    ``n`` is the training-set size; x needs a value for every feature
+    the tree splits on.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    x = _points(x, max(x.shape[1], int(tree.feature.max()) + 1))
+    dense = np.zeros((1, int(n)))
+    _add_tree_mass(dense, tree, x, 1)
+    return WeightVector.from_dense(dense[0])
 
 
 def weight_matrix(forest, xmat):
     """Dense (n_test, n_train) forest-weight matrix for a batch of points."""
-    xmat = np.atleast_2d(np.asarray(xmat, dtype=np.float64))
-    if xmat.shape[1] != forest.n_features:
-        raise DataError("test features have the wrong dimension")
+    xmat = _points(xmat, forest.n_features)
     out = np.zeros((xmat.shape[0], forest.n_train))
-    b = len(forest.trees)
     for tree in forest.trees:
-        leaves = apply(tree, xmat)
-        for leaf in np.unique(leaves):
-            rows = tree.leaf_rows[leaf]
-            pts = np.flatnonzero(leaves == leaf)
-            np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (b * rows.size))
+        _add_tree_mass(out, tree, xmat, len(forest.trees))
     return out
 
 
@@ -321,18 +332,12 @@ def support_grid(w, y):
     """Distinct support response values and the weight mass strictly above each.
 
     Returns ``(cands, above)`` with cands ascending and
-    above[j] = sum of w_i over rows with y_i > cands[j], built from pure
-    suffix additions so downstream comparisons are reproducible.
+    above[j] = sum of w_i over rows with y_i > cands[j], read from the
+    same suffix sums as ``mass_above`` so downstream comparisons are
+    reproducible.
     """
-    ys = np.asarray(y)[w.index]
-    order = np.argsort(ys, kind="stable")
-    ysort = ys[order]
-    wsort = w.value[order]
-    last = np.append(np.flatnonzero(np.diff(ysort) > 0), ysort.size - 1)
-    cands = ysort[last]
-    suffix = np.cumsum(wsort[::-1])[::-1]
-    above = np.append(suffix[last[:-1] + 1], 0.0)
-    return cands, above
+    cands = np.unique(np.asarray(y)[w.index])
+    return cands, mass_above(w, y, cands)
 
 
 def mass_above(w, y, q):
@@ -365,8 +370,7 @@ def weighted_quantile(forest, x, tau):
     This is the plain quantile-forest read-out of the weighted empirical
     CDF; it knows nothing about censoring.
     """
-    if not 0.0 < tau < 1.0:
-        raise DataError("tau must lie in (0, 1)")
+    tau = check_tau(tau)
     return quantile_from_weights(forest_weights(forest, x), forest.response, tau)
 
 
@@ -406,39 +410,126 @@ def save_forest(forest, path):
         json.dump(doc, fh)
 
 
+_DOC_TYPES = {"n_train": int, "n_features": int, "checksum": str, "config": dict, "trees": list}
+_CONFIG_TYPES = {
+    "min_node_size": int,
+    "n_trees": int,
+    "mtry": (int, type(None)),
+    "min_child_fraction": (int, float),
+    "bootstrap": bool,
+    "seed": int,
+}
+_TREE_KEYS = ("feature", "threshold", "left", "right", "leaf_rows")
+
+
+def _has_type(value, types):
+    # JSON true/false load as bool, a subclass of int; only bool fields take them
+    types = types if isinstance(types, tuple) else (types,)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def _int_array(values, size):
+    a = np.asarray(values)
+    if a.shape != (size,) or a.dtype.kind != "i":
+        raise DataError(f"expected a list of {size} integers")
+    return a
+
+
+def _load_tree(rec, p, n):
+    """Tree from its JSON record, or DataError unless the record is a valid tree.
+
+    Valid means: equal-length arrays; features in [-1, p); finite
+    thresholds on internal nodes only; internal nodes' children forming
+    a permutation of 1..m-1, each greater than its parent (so every node
+    is reached from the root exactly once and the walk terminates); and
+    leaf rows on exactly the leaves, nonempty, in [0, n) and n in total.
+    """
+    if not isinstance(rec, dict) or not all(isinstance(rec.get(k), list) for k in _TREE_KEYS):
+        raise DataError("malformed tree record")
+    m = len(rec["feature"])
+    if m == 0 or any(len(rec[k]) != m for k in _TREE_KEYS):
+        raise DataError("tree arrays must be nonempty and of equal length")
+    try:
+        feature, left, right = (_int_array(rec[k], m) for k in ("feature", "left", "right"))
+        threshold = np.array(rec["threshold"], dtype=np.float64)  # null loads as nan
+    except (TypeError, ValueError):
+        raise DataError("malformed tree arrays") from None
+    if threshold.shape != (m,):
+        raise DataError("malformed tree arrays")
+    internal = feature >= 0
+    parents = np.flatnonzero(internal)
+    children = np.concatenate([left[internal], right[internal]])
+    if (feature < -1).any() or (feature >= p).any():
+        raise DataError("split feature out of range")
+    if not np.isfinite(threshold[internal]).all() or not np.isnan(threshold[~internal]).all():
+        raise DataError("thresholds must be finite on internal nodes and null on leaves")
+    if not np.array_equal(np.sort(children), np.arange(1, m)) or not (
+        (left[internal] > parents).all() and (right[internal] > parents).all()
+    ):
+        raise DataError("child links do not form a tree")
+    leaf_rows = rec["leaf_rows"]
+    if not np.array_equal([r is not None for r in leaf_rows], ~internal):
+        raise DataError("leaf rows must be present on exactly the leaves")
+    leaves = np.flatnonzero(~internal)
+    lists = [leaf_rows[i] for i in leaves]
+    if not all(isinstance(r, list) and r for r in lists):
+        raise DataError("leaf rows must be nonempty lists")
+    try:
+        rows = _int_array(list(itertools.chain.from_iterable(lists)), n)
+    except ValueError:
+        raise DataError(f"leaf rows must be {n} integers in total") from None
+    if (rows < 0).any() or (rows >= n).any():
+        raise DataError("leaf row out of range")
+    loaded = [None] * m
+    for i, r in zip(leaves, np.split(rows, np.cumsum([len(r) for r in lists])[:-1])):
+        loaded[i] = r
+    return Tree(
+        feature=feature.astype(np.int32),
+        threshold=threshold,
+        left=left.astype(np.int32),
+        right=right.astype(np.int32),
+        leaf_rows=loaded,
+        bag=np.sort(rows),
+    )
+
+
 def load_forest(path, data):
     """Load a model file and bind it to its training data.
 
     The file stores a checksum of the training arrays; a mismatch means
-    the supplied data is not what the forest was fitted on.
+    the supplied data is not what the forest was fitted on. Every field
+    is validated (see ``_load_tree`` for the tree structure), so a
+    corrupt file raises DataError instead of mispredicting or hanging.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not a valid model file ({exc})") from None
-    if doc.get("format") != FOREST_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
         raise DataError(f"{path}: unrecognized model format")
     if doc.get("version") != FOREST_VERSION:
         raise DataError(f"{path}: unsupported model version {doc.get('version')!r}")
+    for key, types in _DOC_TYPES.items():
+        if not _has_type(doc.get(key), types):
+            raise DataError(f"{path}: missing or malformed {key!r}")
+    names = doc.get("feature_names")
+    if names is not None and not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+        raise DataError(f"{path}: feature_names must be a list of strings")
     if doc["n_train"] != data.n or doc["n_features"] != data.p:
         raise DataError(f"{path}: model was fitted on different data dimensions")
     if doc["checksum"] != data_checksum(data):
         raise DataError(f"{path}: training data does not match this model")
-    cfg = ForestConfig(**doc["config"])
-    trees = []
-    for rec in doc["trees"]:
-        trees.append(
-            Tree(
-                feature=np.asarray(rec["feature"], dtype=np.int32),
-                threshold=np.array([np.nan if t is None else t for t in rec["threshold"]]),
-                left=np.asarray(rec["left"], dtype=np.int32),
-                right=np.asarray(rec["right"], dtype=np.int32),
-                leaf_rows=[None if r is None else np.asarray(r, dtype=np.int64) for r in rec["leaf_rows"]],
-                bag=np.sort(np.concatenate([r for r in rec["leaf_rows"] if r is not None]).astype(np.int64)),
-            )
-        )
-    names = doc.get("feature_names")
+    config = doc["config"]
+    if set(config) != set(_CONFIG_TYPES) or not all(_has_type(config[k], t) for k, t in _CONFIG_TYPES.items()):
+        raise DataError(f"{path}: malformed forest config")
+    try:
+        cfg = ForestConfig(**config)
+        if len(doc["trees"]) != cfg.n_trees:
+            raise DataError(f"expected {cfg.n_trees} trees, found {len(doc['trees'])}")
+        trees = [_load_tree(rec, data.p, data.n) for rec in doc["trees"]]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return Forest(
         config=cfg,
         trees=trees,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, check_tau
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class EvalReport:
 
 def pinball(u, tau):
     """Quantile loss rho_tau(u) = u * (tau - 1(u < 0)); vectorizes over u."""
-    if not 0.0 < tau < 1.0:
-        raise DataError("tau must lie in (0, 1)")
+    tau = check_tau(tau)
     u = np.asarray(u, dtype=np.float64)
     out = u * (tau - (u < 0))
     return float(out) if out.ndim == 0 else out

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cqforest.cli import main
-from cqforest.data import SimConfig, detect_schema, load_csv, simulate, write_csv
+from cqforest.data import DataError, SimConfig, detect_schema, load_csv, simulate, write_csv
 from cqforest.estimator import CqrConfig, predict_batch
-from cqforest.forest import ForestConfig, fit
+from cqforest.forest import ForestConfig, fit, load_forest
 
 
 def read_rows(path):
@@ -168,3 +168,80 @@ class TestExitCodes:
         assert main(["evaluate", "--pred", str(pred), "--truth", str(tmp_path / "t.csv"),
                      "--out", str(tmp_path / "e.csv")]) == 3
         capsys.readouterr()
+
+
+DROP = object()
+# a well-formed tree over the 120 training rows except that node 3 is its own
+# child: the child links still permute 1..4, so only "child > parent" catches it
+DETACHED_CYCLE = {
+    "feature": [0, -1, -1, 0, -1],
+    "threshold": [1.0, None, None, 1.0, None],
+    "left": [1, -1, -1, 3, -1],
+    "right": [2, -1, -1, 4, -1],
+    "leaf_rows": [None, list(range(118)), [118], None, [119]],
+}
+# (case, key path into the model JSON, new value: DROP deletes the key, a
+# callable maps the old value)
+CORRUPTIONS = [
+    ("not-an-object", (), lambda doc: [doc]),
+    ("no-trees", ("trees",), DROP),
+    ("trees-not-a-list", ("trees",), {"0": 1}),
+    ("n-train-string", ("n_train",), "120"),
+    ("feature-names-not-a-list", ("feature_names",), 5),
+    ("unknown-config-key", ("config", "turbo"), 1),
+    ("missing-config-key", ("config", "seed"), DROP),
+    ("config-bool-for-int", ("config", "n_trees"), True),
+    ("tree-count-mismatch", ("config", "n_trees"), 24),
+    ("tree-not-an-object", ("trees", 0), [1, 2]),
+    ("ragged-arrays", ("trees", 0, "left"), [1]),
+    ("feature-out-of-range", ("trees", 0, "feature", 0), 1),
+    ("feature-below-minus-one", ("trees", 0, "feature", 0), -2),
+    ("feature-not-integer", ("trees", 0, "feature", 0), 0.5),
+    ("threshold-nan", ("trees", 0, "threshold", 0), float("nan")),
+    ("threshold-string", ("trees", 0, "threshold", 0), "abc"),
+    ("threshold-on-leaf", ("trees", 0, "threshold", -1), 1.0),
+    ("child-out-of-range", ("trees", 0, "left", 0), 99999),
+    ("shared-child", ("trees", 0, "right", 0), 1),
+    ("detached-cycle", ("trees", 0), DETACHED_CYCLE),
+    ("leaf-rows-on-internal-node", ("trees", 0, "leaf_rows", 0), [0]),
+    ("leaf-rows-missing-on-leaf", ("trees", 0, "leaf_rows", -1), None),
+    ("leaf-rows-empty", ("trees", 0, "leaf_rows", -1), []),
+    ("leaf-row-out-of-range", ("trees", 0, "leaf_rows", -1, 0), 120),
+    ("leaf-row-negative", ("trees", 0, "leaf_rows", -1, 0), -1),
+    ("leaf-row-dropped", ("trees", 0, "leaf_rows", -1), lambda rows: rows[1:]),
+]
+
+
+def corrupt_model(workspace, tmp_path, path, value):
+    doc = json.loads((workspace / "model.json").read_text())
+    if not path:
+        doc = value(doc)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+    out = tmp_path / "corrupt.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("case,path,value", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+    def test_predict_exits_3(self, workspace, tmp_path, capsys, case, path, value):
+        model = corrupt_model(workspace, tmp_path, path, value)
+        code = main(["predict", "--model", str(model), "--data", str(workspace / "train.csv"),
+                     "--features", str(workspace / "points.csv"), "--taus", "0.5",
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert "cqforest: error:" in capsys.readouterr().err
+
+    def test_cycle_through_root_rejected_on_load(self, workspace, tmp_path):
+        # checked on load alone: walking such a tree would never return
+        model = corrupt_model(workspace, tmp_path, ("trees", 0, "left", 0), 0)
+        train = load_csv(workspace / "train.csv", detect_schema(workspace / "train.csv"))
+        with pytest.raises(DataError, match="do not form a tree"):
+            load_forest(model, train)

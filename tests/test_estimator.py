@@ -59,6 +59,7 @@ class TestConfig:
             dict(taus=(0.5, 1.2)),
             dict(taus=(0.5, 0.5)),
             dict(taus=(0.7, 0.3)),
+            dict(taus=("half",)),
             dict(search_radius=0.0),
         ],
     )
@@ -239,6 +240,16 @@ class TestGridPredictors:
                 assert a.q_hat == b.q_hat == c.q_hat
                 assert a.residual == b.residual == c.residual
                 assert a.tau == b.tau
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, fitted, bad):
+        d, forest = fitted
+        with pytest.raises(DataError, match="finite"):
+            predict_quantile(forest, d, [bad], 0.5)
+        with pytest.raises(DataError, match="finite"):
+            predict_batch(forest, d, np.array([[1.0], [bad]]), CqrConfig())
+        with pytest.raises(DataError, match="finite"):
+            forest_weights(forest, [bad])
 
     def test_km_knn_mode_matches_manual_composition(self, fitted):
         d, forest = fitted

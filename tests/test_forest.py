@@ -7,6 +7,7 @@ from cqforest.data import DataError, Dataset, SimConfig, simulate
 from cqforest.forest import (
     Forest,
     ForestConfig,
+    Tree,
     WeightVector,
     apply,
     data_checksum,
@@ -174,6 +175,29 @@ class TestWeights:
         counts = np.bincount(tree.bag, minlength=2)
         w = tree_weights(tree, [0.0], n=2)
         assert np.array_equal(w.dense(), counts / 2.0)
+
+    def test_tree_weights_needs_n_and_a_finite_point(self):
+        d = toy_dataset(n=30, seed=2)
+        tree = fit(d, ForestConfig(min_node_size=5, n_trees=1, seed=3)).trees[0]
+        with pytest.raises(TypeError):
+            tree_weights(tree, [1.0])  # the bag does not reveal n: its last row may be out of bag
+        for bad in ([np.nan], [np.inf], [-np.inf], []):
+            with pytest.raises(DataError):
+                tree_weights(tree, bad, n=d.n)
+
+    def test_apply_skips_nodes_no_row_reaches(self):
+        # node 2 splits on a feature these rows lack; walking into it with an
+        # empty row set would index out of bounds
+        nan = np.nan
+        tree = Tree(
+            feature=np.array([0, -1, 7, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, nan, 0.0, nan, nan]),
+            left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
+            leaf_rows=[None, np.array([0]), None, np.array([1]), np.array([2])],
+            bag=np.arange(3),
+        )
+        assert np.array_equal(apply(tree, np.array([[0.1], [0.2]])), [1, 1])
 
     def test_forest_weights_average_trees(self):
         d = toy_dataset(n=40, seed=11)
