@@ -311,7 +311,17 @@ def run(spec, out_dir, threads=1):
     return results_path, aggregate_path
 
 
-_SPEC_INT_KEYS = ("replications", "n_train", "n_test", "trees", "seed")
+def _number_list(kind):
+    return lambda value: tuple(kind(v) for v in value.split(",") if v.strip())
+
+
+# spec keys with numeric values and their parsers; each raises ValueError on bad text
+_SPEC_PARSERS = {
+    **dict.fromkeys(("replications", "n_train", "n_test", "trees", "seed"), int),
+    "censor_rate": float,
+    "taus": _number_list(float),
+    "node_sizes": _number_list(int),
+}
 
 
 def load_spec(path):
@@ -332,16 +342,13 @@ def load_spec(path):
         key, value = key.strip(), value.strip()
         if key == "scenario":
             kv[key] = value
-        elif key in _SPEC_INT_KEYS:
-            kv[key] = int(value)
-        elif key == "censor_rate":
-            kv[key] = float(value)
-        elif key == "taus":
-            kv[key] = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key == "node_sizes":
-            kv[key] = tuple(int(v) for v in value.split(",") if v.strip())
         elif key == "methods":
             kv[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+        elif key in _SPEC_PARSERS:
+            try:
+                kv[key] = _SPEC_PARSERS[key](value)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: {key} has a malformed value {value!r}") from None
         else:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
     if "scenario" not in kv:

@@ -53,9 +53,10 @@ class Tree:
     """One fitted tree in flat-array form.
 
     ``feature[i] == -1`` marks node i as a leaf; internal nodes route x to
-    ``left`` iff x[feature] <= threshold. ``leaf_rows[i]`` holds the
-    original training-row indices in leaf i, bootstrap multiplicity
-    included; leaves partition the bag.
+    ``left`` iff x[feature] <= threshold, and child ids are local to the
+    tree. ``leaf_rows[i]`` holds the original training-row indices in
+    leaf i, bootstrap multiplicity included; leaves partition the bag.
+    In a ``Forest`` these arrays are views into the forest's flat store.
     """
 
     feature: np.ndarray
@@ -121,8 +122,68 @@ class WeightVector:
         return self.index.size
 
 
+@dataclass(frozen=True)
+class _Nodes:
+    """Every tree's nodes and leaf rows, concatenated in tree order.
+
+    ``roots[t]`` is the global id of tree t's root; its children keep
+    tree-local ids, so node ``roots[t] + left[g]`` is the left child of
+    global node g. The in-bag rows of leaf g are
+    ``rows[row_ptr[g]:row_ptr[g + 1]]`` (empty for internal nodes).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    row_ptr: np.ndarray
+    rows: np.ndarray
+
+
+def _pack(trees, n_trees, n):
+    """One flat store for ``n_trees`` trees of ``n`` in-bag rows each, and the trees as views into it.
+
+    ``trees`` may be lazy: each tree's leaf rows are copied into the
+    store as the tree arrives and its own arrays are then dropped, so
+    the forest's leaf rows are never held twice.
+    """
+    rows = np.empty(n_trees * n, dtype=np.int64)
+    kept, sizes = [], []
+    for t, tree in enumerate(trees):
+        np.concatenate([r for r in tree.leaf_rows if r is not None], out=rows[t * n : (t + 1) * n])
+        sizes += [0 if r is None else len(r) for r in tree.leaf_rows]
+        kept.append((tree.feature, tree.threshold, tree.left, tree.right, tree.bag))
+    features, thresholds, lefts, rights, bags = zip(*kept)
+    bounds = np.cumsum([0] + [f.size for f in features])
+    feature, threshold, left, right = map(np.concatenate, (features, thresholds, lefts, rights))
+    row_ptr = np.cumsum([0] + sizes)
+    nodes = _Nodes(feature, threshold, left, right, roots=bounds[:-1], row_ptr=row_ptr, rows=rows)
+    ptr = row_ptr.tolist()
+    views = [
+        Tree(
+            feature=feature[a:b],
+            threshold=threshold[a:b],
+            left=left[a:b],
+            right=right[a:b],
+            leaf_rows=[rows[ptr[g] : ptr[g + 1]] if ptr[g + 1] > ptr[g] else None for g in range(a, b)],
+            bag=bag,
+        )
+        for bag, a, b in zip(bags, bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+    return nodes, views
+
+
 @dataclass
 class Forest:
+    """A fitted forest bound to its training data.
+
+    ``trees`` may be given as any iterable of ``config.n_trees`` trees,
+    each holding ``n_train`` in-bag rows. On construction they are packed
+    into one flat store (``_pack``) and ``trees`` becomes a list of views
+    into it, so the forest is held once and walked in one pass.
+    """
+
     config: ForestConfig
     trees: list
     n_train: int
@@ -130,6 +191,10 @@ class Forest:
     response: np.ndarray
     checksum: str
     feature_names: tuple | None = field(default=None)
+    _nodes: _Nodes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._nodes, self.trees = _pack(self.trees, self.config.n_trees, self.n_train)
 
 
 def _pure(y):
@@ -252,7 +317,7 @@ def fit(data, cfg, threads=1, feature_names=None):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             trees = list(pool.map(build, seeds))
     else:
-        trees = [build(s) for s in seeds]
+        trees = map(build, seeds)  # lazy: each tree is grown as the packing reaches it
     return Forest(
         config=cfg,
         trees=trees,
@@ -264,30 +329,64 @@ def fit(data, cfg, threads=1, feature_names=None):
     )
 
 
+def _descend(nodes, roots, xmat):
+    """Leaf reached by every lane, a lane being one (point, tree) pair.
+
+    Lanes are point-major: lane ``i * len(roots) + t`` walks the tree
+    rooted at ``roots[t]`` for row i of xmat. Each step moves every lane
+    still on an internal node down one level, so the Python loop runs
+    once per level, not once per node or tree. Returns global node ids.
+    """
+    base = np.tile(roots, xmat.shape[0])
+    point = np.repeat(np.arange(xmat.shape[0]), roots.size)
+    node = base.copy()
+    live = np.flatnonzero(nodes.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = xmat[point[live], nodes.feature[at]] <= nodes.threshold[at]
+        node[live] = base[live] + np.where(go_left, nodes.left[at], nodes.right[at])
+        live = live[nodes.feature[node[live]] >= 0]
+    return node
+
+
 def apply(tree, xmat):
     """Leaf node id for every row of xmat, vectorized over rows."""
-    out = np.empty(xmat.shape[0], dtype=np.int32)
-    stack = [(0, np.arange(xmat.shape[0]))]
-    while stack:
-        nid, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if tree.feature[nid] < 0:
-            out[idx] = nid
-            continue
-        go_left = xmat[idx, tree.feature[nid]] <= tree.threshold[nid]
-        stack.append((tree.left[nid], idx[go_left]))
-        stack.append((tree.right[nid], idx[~go_left]))
-    return out
+    return _descend(tree, np.zeros(1, dtype=np.int64), xmat).astype(np.int32)
 
 
-def _add_tree_mass(out, tree, xmat, b):
-    """Add 1/(b * |leaf|) per in-bag row co-leafed with each row of xmat into out."""
-    leaves = apply(tree, xmat)
-    for leaf in np.unique(leaves):
-        rows = tree.leaf_rows[leaf]
-        pts = np.flatnonzero(leaves == leaf)
-        np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (b * rows.size))
+# lanes per walk: enough to spread each level's numpy calls over many
+# lanes, few enough that the walk adds little to a batch's peak memory
+_WALK_LANES = 1 << 14
+
+
+def _leaf_mass(rows, size, b, n):
+    """Length-n weights adding 1/(b * size[j]) for each row of the j-th leaf.
+
+    ``rows`` holds the leaves' in-bag rows back to back, ``size[j]`` of
+    them for leaf j. bincount adds its inputs in the order given,
+    starting from zero, so the result is bit-identical to a scatter that
+    adds the same leaves in the same order.
+    """
+    return np.bincount(rows, weights=np.repeat(1.0 / (b * size), size), minlength=n)
+
+
+def _weight_rows(nodes, xmat, b, n):
+    """Dense weights at each row of xmat, one length-n array per point.
+
+    Each point gathers the in-bag rows of its leaf in every tree, in
+    tree order and leaf-row order within a leaf (the order a tree-by-tree
+    scatter adds them in), and sums them with one ``_leaf_mass``. Points
+    are walked in blocks of about ``_WALK_LANES`` lanes, so the walk's
+    temporaries stay near 1 MiB whatever the batch size.
+    """
+    block = max(1, _WALK_LANES // nodes.roots.size)
+    for lo in range(0, xmat.shape[0], block):
+        leaves = _descend(nodes, nodes.roots, xmat[lo : lo + block]).reshape(-1, nodes.roots.size)
+        for point_leaves in leaves:
+            start = nodes.row_ptr[point_leaves]
+            size = nodes.row_ptr[point_leaves + 1] - start
+            gather = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
+            yield _leaf_mass(nodes.rows[gather], size, b, n)
 
 
 def _points(xmat, p):
@@ -308,17 +407,16 @@ def tree_weights(tree, x, n):
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     x = _points(x, max(x.shape[1], int(tree.feature.max()) + 1))
-    dense = np.zeros((1, int(n)))
-    _add_tree_mass(dense, tree, x, 1)
-    return WeightVector.from_dense(dense[0])
+    rows = np.asarray(tree.leaf_rows[apply(tree, x)[0]])
+    return WeightVector.from_dense(_leaf_mass(rows, np.array([rows.size]), 1, int(n)))
 
 
 def weight_matrix(forest, xmat):
     """Dense (n_test, n_train) forest-weight matrix for a batch of points."""
     xmat = _points(xmat, forest.n_features)
-    out = np.zeros((xmat.shape[0], forest.n_train))
-    for tree in forest.trees:
-        _add_tree_mass(out, tree, xmat, len(forest.trees))
+    out = np.empty((xmat.shape[0], forest.n_train))
+    for i, row in enumerate(_weight_rows(forest._nodes, xmat, len(forest.trees), forest.n_train)):
+        out[i] = row
     return out
 
 
@@ -379,8 +477,12 @@ FOREST_VERSION = 1
 
 
 def save_forest(forest, path):
-    """Serialize to a versioned JSON model file with exact float round-trip."""
-    doc = {
+    """Serialize to a versioned JSON model file with exact float round-trip.
+
+    The file is written one tree record at a time, so the whole document
+    is never built in memory; the bytes are those of ``json.dump`` of it.
+    """
+    head = {
         "format": FOREST_FORMAT,
         "version": FOREST_VERSION,
         "config": {
@@ -395,19 +497,20 @@ def save_forest(forest, path):
         "n_features": forest.n_features,
         "feature_names": list(forest.feature_names) if forest.feature_names else None,
         "checksum": forest.checksum,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": [None if np.isnan(t) else float(t) for t in tree.threshold],
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "leaf_rows": [None if r is None else [int(v) for v in r] for r in tree.leaf_rows],
-            }
-            for tree in forest.trees
-        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        # "trees" is the last key: open its list in place of the closing brace
+        fh.write(json.dumps(head)[:-1] + ', "trees": [')
+        for i, tree in enumerate(forest.trees):
+            rec = {
+                "feature": tree.feature.tolist(),
+                "threshold": [None if math.isnan(t) else t for t in tree.threshold.tolist()],
+                "left": tree.left.tolist(),
+                "right": tree.right.tolist(),
+                "leaf_rows": [None if r is None else r.tolist() for r in tree.leaf_rows],
+            }
+            fh.write((", " if i else "") + json.dumps(rec))
+        fh.write("]}")
 
 
 _DOC_TYPES = {"n_train": int, "n_features": int, "checksum": str, "config": dict, "trees": list}
@@ -481,8 +584,9 @@ def _load_tree(rec, p, n):
     if (rows < 0).any() or (rows >= n).any():
         raise DataError("leaf row out of range")
     loaded = [None] * m
-    for i, r in zip(leaves, np.split(rows, np.cumsum([len(r) for r in lists])[:-1])):
-        loaded[i] = r
+    ends = list(itertools.accumulate(len(r) for r in lists))
+    for i, a, b in zip(leaves.tolist(), [0] + ends, ends):
+        loaded[i] = rows[a:b]
     return Tree(
         feature=feature.astype(np.int32),
         threshold=threshold,
@@ -527,15 +631,14 @@ def load_forest(path, data):
         cfg = ForestConfig(**config)
         if len(doc["trees"]) != cfg.n_trees:
             raise DataError(f"expected {cfg.n_trees} trees, found {len(doc['trees'])}")
-        trees = [_load_tree(rec, data.p, data.n) for rec in doc["trees"]]
+        return Forest(
+            config=cfg,
+            trees=(_load_tree(rec, data.p, data.n) for rec in doc["trees"]),
+            n_train=data.n,
+            n_features=data.p,
+            response=data.response,
+            checksum=doc["checksum"],
+            feature_names=tuple(names) if names else None,
+        )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return Forest(
-        config=cfg,
-        trees=trees,
-        n_train=data.n,
-        n_features=data.p,
-        response=data.response,
-        checksum=doc["checksum"],
-        feature_names=tuple(names) if names else None,
-    )

@@ -207,11 +207,14 @@ def nearest_rows(w, k):
     """
     if not 1 <= k <= w.n:
         raise DataError("k must lie in [1, n]")
-    dense = w.dense()
-    ranked = np.argsort(-dense, kind="stable")[:k]
-    n_zero = int(k) - int(np.count_nonzero(dense[ranked]))
+    # w.index is ascending, so a stable sort sends ties to the lower index
+    ranked = w.index[np.argsort(-w.value, kind="stable")][:k]
+    n_zero = int(k) - ranked.size
     if n_zero:
         log.debug("nearest_rows: padded %d of %d slots with zero-weight rows", n_zero, k)
+        # at most k - n_zero of rows 0..k-1 carry weight, so they hold enough padding
+        pad = np.setdiff1d(np.arange(k), w.index, assume_unique=True)[:n_zero]
+        ranked = np.concatenate([ranked, pad])
     return np.sort(ranked)
 
 

@@ -115,3 +115,36 @@ def c_index_pairs(pred, y, event):
     if den == 0:
         raise ZeroDivisionError("no comparable pairs")
     return num / den
+
+
+def tree_leaves(tree, xmat):
+    """Leaf node id per row of xmat, by a depth-first stack walk of one tree."""
+    out = np.empty(xmat.shape[0], dtype=np.int32)
+    stack = [(0, np.arange(xmat.shape[0]))]
+    while stack:
+        nid, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if tree.feature[nid] < 0:
+            out[idx] = nid
+            continue
+        go_left = xmat[idx, tree.feature[nid]] <= tree.threshold[nid]
+        stack.append((tree.left[nid], idx[go_left]))
+        stack.append((tree.right[nid], idx[~go_left]))
+    return out
+
+
+def scattered_weights(trees, xmat, n):
+    """(n_points, n) weights: tree by tree, add 1/(B * |leaf|) per co-leafed in-bag row.
+
+    B = len(trees). Each tree's mass goes in with one np.add.at per leaf,
+    so duplicated bag rows accumulate one copy at a time.
+    """
+    out = np.zeros((xmat.shape[0], n))
+    for tree in trees:
+        leaves = tree_leaves(tree, xmat)
+        for leaf in np.unique(leaves):
+            rows = tree.leaf_rows[leaf]
+            pts = np.flatnonzero(leaves == leaf)
+            np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (len(trees) * rows.size))
+    return out

@@ -121,6 +121,17 @@ class TestBenchCommand:
         assert (tmp_path / "out" / "results.csv").exists()
         assert (tmp_path / "out" / "aggregate.csv").exists()
 
+    @pytest.mark.parametrize("line", [
+        "trees = abc", "trees = 1.5", "replications = x", "n_train = 4e2", "n_test = ", "seed = 0x1",
+        "censor_rate = low", "taus = 0.5,x", "node_sizes = 5,2.5",
+    ])
+    def test_malformed_number_exits_3(self, tmp_path, capsys, line):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(f"scenario = aft1d\n{line}\n")
+        assert main(["bench", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 3
+        key = line.split("=")[0].strip()
+        assert f"bad.spec:2: {key} has a malformed value" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_errors_exit_2(self, capsys):

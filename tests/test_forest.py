@@ -24,7 +24,7 @@ from cqforest.forest import (
     weighted_quantile,
 )
 
-from _oracles import weighted_quantile_grid
+from _oracles import scattered_weights, tree_leaves, weighted_quantile_grid
 
 
 def toy_dataset(n=60, p=1, seed=0, model="aft1d"):
@@ -257,6 +257,69 @@ class TestWeights:
             assert np.array_equal(w2, w1[perm])
 
 
+class TestFlatWalkAndScatter:
+    """The lane walk and per-point bincount against the stack walk and per-tree scatter."""
+
+    @pytest.fixture(scope="class")
+    def multi(self):
+        d = toy_dataset(n=300, seed=30, model="aft-multi")
+        f = fit(d, ForestConfig(min_node_size=5, n_trees=25, seed=31))
+        xs = toy_dataset(n=40, seed=32, model="aft-multi").features
+        return d, f, xs
+
+    def test_bootstrap_duplicates_present(self, multi):
+        _, f, _ = multi
+        assert any(np.unique(r).size < r.size for t in f.trees for r in t.leaf_rows if r is not None)
+
+    def test_weight_matrix_bytes(self, multi):
+        d, f, xs = multi
+        assert weight_matrix(f, xs).tobytes() == scattered_weights(f.trees, xs, d.n).tobytes()
+        # a batch of one point
+        assert weight_matrix(f, xs[:1]).tobytes() == scattered_weights(f.trees, xs[:1], d.n).tobytes()
+
+    def test_forest_weights_bytes(self, multi):
+        d, f, xs = multi
+        ref = scattered_weights(f.trees, xs[:10], d.n)
+        for x, row in zip(xs[:10], ref):
+            assert forest_weights(f, x).dense().tobytes() == row.tobytes()
+
+    def test_tree_weights_bytes(self, multi):
+        d, f, xs = multi
+        for tree in f.trees[:8]:
+            ref = scattered_weights([tree], xs[:1], d.n)[0]
+            assert tree_weights(tree, xs[0], n=d.n).dense().tobytes() == ref.tobytes()
+
+    def test_apply_matches_stack_walk(self, multi):
+        d, f, xs = multi
+        for tree in f.trees:
+            assert np.array_equal(apply(tree, xs), tree_leaves(tree, xs))
+            assert np.array_equal(apply(tree, d.features), tree_leaves(tree, d.features))
+
+    def test_one_tree_forest(self):
+        d = toy_dataset(n=80, seed=33, model="aft-multi")
+        f = fit(d, ForestConfig(min_node_size=4, n_trees=1, seed=34))
+        xs = d.features[:15]
+        assert weight_matrix(f, xs).tobytes() == scattered_weights(f.trees, xs, d.n).tobytes()
+
+    def test_loaded_forest(self, multi, tmp_path):
+        d, f, xs = multi
+        path = tmp_path / "model.json"
+        save_forest(f, path)
+        g = load_forest(path, d)
+        assert weight_matrix(g, xs).tobytes() == scattered_weights(f.trees, xs, d.n).tobytes()
+
+    def test_trees_are_views_of_the_flat_store(self, multi, tmp_path):
+        d, f, _ = multi
+        path = tmp_path / "model.json"
+        save_forest(f, path)
+        for forest in (f, load_forest(path, d)):
+            nodes = forest._nodes
+            for tree in forest.trees:
+                for key in ("feature", "threshold", "left", "right"):
+                    assert np.shares_memory(getattr(tree, key), getattr(nodes, key))
+                assert all(np.shares_memory(r, nodes.rows) for r in tree.leaf_rows if r is not None)
+
+
 class TestSupportGrid:
     def test_distinct_sorted_and_mass(self):
         y = np.array([3.0, 1.0, 2.0, 2.0, 5.0])
@@ -338,6 +401,40 @@ class TestSerialization:
             assert np.array_equal(tree_a.feature, tree_b.feature)
             assert np.array_equal(tree_a.threshold, tree_b.threshold, equal_nan=True)
             assert np.array_equal(tree_a.bag, tree_b.bag)
+
+    def test_saved_bytes_equal_whole_document_dump(self, tmp_path):
+        d = toy_dataset(n=60, seed=28, model="aft-multi")
+        f = fit(d, ForestConfig(min_node_size=5, n_trees=4, seed=29), feature_names=tuple("abcde"))
+        assert f.config.mtry is None
+        path = tmp_path / "model.json"
+        save_forest(f, path)
+        doc = {
+            "format": "cqforest-forest",
+            "version": 1,
+            "config": {
+                "min_node_size": 5,
+                "n_trees": 4,
+                "mtry": None,
+                "min_child_fraction": f.config.min_child_fraction,
+                "bootstrap": True,
+                "seed": 29,
+            },
+            "n_train": d.n,
+            "n_features": d.p,
+            "feature_names": list("abcde"),
+            "checksum": data_checksum(d),
+            "trees": [
+                {
+                    "feature": tree.feature.tolist(),
+                    "threshold": [None if np.isnan(t) else float(t) for t in tree.threshold],
+                    "left": tree.left.tolist(),
+                    "right": tree.right.tolist(),
+                    "leaf_rows": [None if r is None else [int(v) for v in r] for r in tree.leaf_rows],
+                }
+                for tree in f.trees
+            ],
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
     def test_checksum_guards_against_wrong_data(self, tmp_path):
         d = toy_dataset(n=30, seed=26)

@@ -264,6 +264,24 @@ class TestKmKnn:
             assert np.array_equal(nearest_rows(w, k), rows)
             assert km_knn(d, w, k) == km(y[rows], np.asarray(event)[rows])
 
+    def test_sparse_ties_and_padding_match_brute_force(self):
+        # weights on a scattered support with repeated values: ties inside
+        # the support, and k beyond it so zero-weight rows pad the set
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(5, 40))
+            dense = np.zeros(n)
+            support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            dense[support] = rng.choice([1.0, 2.0, 3.0], size=support.size)
+            w = WeightVector.from_dense(dense / dense.sum())
+            for k in {1, w.support_size, min(w.support_size + 3, n), n}:
+                assert np.array_equal(nearest_rows(w, k), top_k_rows(w.dense(), k))
+
+    def test_padding_takes_lowest_zero_weight_rows(self):
+        w = WeightVector.from_dense([0.0, 0.0, 0.25, 0.0, 0.75, 0.0, 0.0])
+        assert np.array_equal(nearest_rows(w, 5), [0, 1, 2, 3, 4])
+        assert np.array_equal(nearest_rows(w, 5), top_k_rows(w.dense(), 5))
+
     def test_k_bounds(self):
         d = make_dataset([[0.0]], [1.0], [0])
         w = WeightVector.uniform(1)
