@@ -29,7 +29,7 @@ cfg = CqrConfig(taus=(0.1, 0.5, 0.9))
 for xv in (0.5, 1.0, 1.5):
     adjusted = [p.q_hat for p in predict_quantiles(forest, data, [xv], cfg)]
     w = forest_weights(forest, [xv])
-    naive = [quantile_from_weights(w, data.response, t) for t in cfg.taus]
+    naive = quantile_from_weights(w, data.response, cfg.taus)
     truth = [float(true_quantile("aft1d", [[xv]], t)[0]) for t in cfg.taus]
     print(f"x={xv}")
     for t, a, nv, tr in zip(cfg.taus, adjusted, naive, truth):

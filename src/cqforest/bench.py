@@ -169,6 +169,11 @@ def _crf_qhat(xmat, weights, train, cfg):
     return np.array([[p.q_hat for p in predict_with_weights(x, w, train, cfg)] for x, w in zip(xmat, weights)])
 
 
+def _qrf_qhat(weights, response, taus):
+    """(n_test, len(taus)) plain weighted quantiles of response, knowing nothing of censoring."""
+    return np.array([quantile_from_weights(w, response, taus) for w in weights])
+
+
 def _emit(rows, scenario, method, tau, node_size, rep, metric, value):
     if value is not None:
         rows.append((scenario, method, tau, node_size, rep, metric, float(value)))
@@ -201,30 +206,24 @@ def _crf_variants(spec, node_size):
 
 def _run_model_scenario(spec, model, rows, threads):
     rate = _censor_rate(spec, model)
-    want_qrf = "qrf" in spec.methods and spec.scenario != "survival-comparison"
-    want_oracle = "qrf_oracle" in spec.methods and spec.scenario != "survival-comparison"
+    plain = spec.scenario != "survival-comparison"
     for rep in range(spec.replications):
         train, test = _simulate_pair(model, spec, rep, rate)
         true_q = {tau: true_quantile(model, test.features, tau) for tau in spec.taus}
         for m in _node_sizes(spec):
             fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
             weights = _weights(fit(train, fcfg, threads=threads), test.features)
-            for label, cfg in _crf_variants(spec, m):
-                q_hat = _crf_qhat(test.features, weights, train, cfg)
-                for j, tau in enumerate(spec.taus):
-                    _emit_scores(rows, spec.scenario, label, tau, m, rep, test, true_q[tau], q_hat[:, j])
+            tables = [(label, _crf_qhat(test.features, weights, train, cfg)) for label, cfg in _crf_variants(spec, m)]
             # plain weighted quantiles: of the observed response, and of the
             # latent response under a forest refitted on it
-            plain = []
-            if want_qrf:
-                plain.append(("qrf", train.response, weights))
-            if want_oracle:
+            if plain and "qrf" in spec.methods:
+                tables.append(("qrf", _qrf_qhat(weights, train.response, spec.taus)))
+            if plain and "qrf_oracle" in spec.methods:
                 oracle = fit(_oracle_dataset(train), fcfg, threads=threads)
-                plain.append(("qrf_oracle", oracle.response, _weights(oracle, test.features)))
-            for method, response, method_weights in plain:
-                for tau in spec.taus:
-                    q = np.array([quantile_from_weights(w, response, tau) for w in method_weights])
-                    _emit_scores(rows, spec.scenario, method, tau, m, rep, test, true_q[tau], q)
+                tables.append(("qrf_oracle", _qrf_qhat(_weights(oracle, test.features), oracle.response, spec.taus)))
+            for label, q_hat in tables:
+                for j, tau in enumerate(spec.taus):
+                    _emit_scores(rows, spec.scenario, label, tau, m, rep, test, true_q[tau], q_hat[:, j])
 
 
 def _run_illustrative(spec, rows):

@@ -64,7 +64,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     leaf_rows: list
-    bag: np.ndarray
 
 
 class WeightVector:
@@ -85,11 +84,12 @@ class WeightVector:
             raise DataError("weights must be finite and nonnegative")
         keep = value > 0
         index, value = index[keep], value[keep]
-        order = np.argsort(index, kind="stable")
-        index, value = index[order], value[order]
+        if (np.diff(index) <= 0).any():  # from_dense indices arrive strictly increasing
+            order = np.argsort(index, kind="stable")
+            index, value = index[order], value[order]
         if index.size == 0:
             raise DataError("weight vector has empty support")
-        if index[0] < 0 or index[-1] >= n or np.unique(index).size != index.size:
+        if index[0] < 0 or index[-1] >= n or (np.diff(index) == 0).any():
             raise DataError("weight indices must be unique and within [0, n)")
         if abs(float(value.sum()) - 1.0) > 1e-8:
             raise DataError("weights must sum to 1")
@@ -153,8 +153,8 @@ def _pack(trees, n_trees, n):
     for t, tree in enumerate(trees):
         np.concatenate([r for r in tree.leaf_rows if r is not None], out=rows[t * n : (t + 1) * n])
         sizes += [0 if r is None else len(r) for r in tree.leaf_rows]
-        kept.append((tree.feature, tree.threshold, tree.left, tree.right, tree.bag))
-    features, thresholds, lefts, rights, bags = zip(*kept)
+        kept.append((tree.feature, tree.threshold, tree.left, tree.right))
+    features, thresholds, lefts, rights = zip(*kept)
     bounds = np.cumsum([0] + [f.size for f in features])
     feature, threshold, left, right = map(np.concatenate, (features, thresholds, lefts, rights))
     row_ptr = np.cumsum([0] + sizes)
@@ -167,9 +167,8 @@ def _pack(trees, n_trees, n):
             left=left[a:b],
             right=right[a:b],
             leaf_rows=[rows[ptr[g] : ptr[g + 1]] if ptr[g + 1] > ptr[g] else None for g in range(a, b)],
-            bag=bag,
         )
-        for bag, a, b in zip(bags, bounds[:-1].tolist(), bounds[1:].tolist())
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     ]
     return nodes, views
 
@@ -283,7 +282,6 @@ def _grow_tree(x, y, cfg, mtry, rng):
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         leaf_rows=leaf_rows,
-        bag=np.sort(bag),
     )
 
 
@@ -450,10 +448,16 @@ def mass_above(w, y, q):
 
 
 def quantile_from_weights(w, y, tau):
-    """Smallest support value whose weighted CDF reaches tau."""
+    """Smallest support value whose weighted CDF reaches tau.
+
+    A float for one tau, an array for a sequence of taus; every level is
+    read from one support grid.
+    """
+    scalar = np.ndim(tau) == 0
+    taus = np.array([check_tau(t) for t in ([tau] if scalar else tau)])
     cands, above = support_grid(w, y)
-    j = int(np.argmax(above <= 1.0 - tau))
-    return float(cands[j])
+    q = cands[np.argmax(above[:, None] <= 1.0 - taus, axis=0)]
+    return float(q[0]) if scalar else q
 
 
 def weighted_mean(forest, x):
@@ -468,7 +472,6 @@ def weighted_quantile(forest, x, tau):
     This is the plain quantile-forest read-out of the weighted empirical
     CDF; it knows nothing about censoring.
     """
-    tau = check_tau(tau)
     return quantile_from_weights(forest_weights(forest, x), forest.response, tau)
 
 
@@ -593,7 +596,6 @@ def _load_tree(rec, p, n):
         left=left.astype(np.int32),
         right=right.astype(np.int32),
         leaf_rows=loaded,
-        bag=np.sort(rows),
     )
 
 

@@ -75,6 +75,11 @@ def quantile_losses(truth_T, true_Q, pred_Q, tau):
     )
 
 
+# ordered pairs per block of c_index: keeps its n x block boolean
+# temporaries near 4 MiB each, whatever the number of rows
+_PAIR_CELLS = 1 << 22
+
+
 def c_index(pred, y, event):
     """Concordance index of predictions against censored outcomes.
 
@@ -89,13 +94,16 @@ def c_index(pred, y, event):
     event = np.asarray(event).astype(bool)
     if not pred.shape == y.shape == event.shape or pred.ndim != 1:
         raise DataError("pred, y, event must be equal-length vectors")
-    # ordered pairs (i, j) with i the case failing first
-    yi, yj = y[:, None], y[None, :]
-    ei, ej = event[:, None], event[None, :]
-    usable = ((yi < yj) & ei) | ((yi == yj) & ei & ~ej)
-    pi, pj = pred[:, None], pred[None, :]
-    concordant = np.where(pi < pj, 1.0, np.where(pi == pj, 0.5, 0.0))
-    n_usable = int(usable.sum())
+    # ordered pairs (i, j) with i the case failing first, a block of i at a time;
+    # the counts are integers, so the result does not depend on the blocking
+    n_usable = wins = ties = 0
+    block = max(1, _PAIR_CELLS // max(1, y.size))
+    for lo in range(0, y.size, block):
+        yi, ei, pi = y[lo : lo + block, None], event[lo : lo + block, None], pred[lo : lo + block, None]
+        usable = ((yi < y) & ei) | ((yi == y) & ei & ~event)
+        n_usable += int(usable.sum())
+        wins += int((usable & (pi < pred)).sum())
+        ties += int((usable & (pi == pred)).sum())
     if n_usable == 0:
         raise DataError("no usable pairs for the concordance index")
-    return float(concordant[usable].sum() / n_usable)
+    return float((wins + 0.5 * ties) / n_usable)

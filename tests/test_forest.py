@@ -31,6 +31,11 @@ def toy_dataset(n=60, p=1, seed=0, model="aft1d"):
     return simulate(SimConfig(model=model, n=n, censor_rate_param=0.1, seed=seed))
 
 
+def in_bag(tree):
+    """The tree's in-bag rows, bootstrap multiplicity included: its leaf rows back to back."""
+    return np.concatenate([r for r in tree.leaf_rows if r is not None])
+
+
 def uncensored(features, response):
     features = np.asarray(features, dtype=np.float64)
     response = np.asarray(response, dtype=np.float64)
@@ -86,11 +91,13 @@ class TestGrowth:
         d = toy_dataset(n=90, seed=4)
         cfg = ForestConfig(min_node_size=7, n_trees=20, seed=5)
         f = fit(d, cfg)
-        for tree in f.trees:
+        # fit draws tree t's bootstrap bag first from its own spawned stream
+        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+        for tree, seq in zip(f.trees, seeds):
             rows = [r for r in tree.leaf_rows if r is not None]
             assert all(len(r) >= cfg.min_node_size for r in rows)
-            merged = np.sort(np.concatenate(rows))
-            assert np.array_equal(merged, tree.bag)
+            bag = np.random.default_rng(seq).integers(0, d.n, size=d.n)
+            assert np.array_equal(np.sort(np.concatenate(rows)), np.sort(bag))
             # internal nodes route left iff x <= threshold; spot-check by
             # dropping every training point down the tree
             leaves = apply(tree, d.features)
@@ -105,7 +112,7 @@ class TestGrowth:
         def node_sizes(tree):
             # reconstruct per-node row counts by routing the bag
             sizes = {}
-            xb = d.features[tree.bag]
+            xb = d.features[in_bag(tree)]
             for xi in xb:
                 nid = 0
                 while True:
@@ -138,6 +145,8 @@ class TestWeightVector:
             WeightVector([0, 1], [0.6, 0.6], 2)  # sums to 1.2
         with pytest.raises(DataError):
             WeightVector([0, 0], [0.5, 0.5], 2)  # duplicate index
+        with pytest.raises(DataError):
+            WeightVector([1, 0, 1], [0.25, 0.5, 0.25], 2)  # duplicate index, unsorted
         with pytest.raises(DataError):
             WeightVector([0, 5], [0.5, 0.5], 3)  # out of range
         with pytest.raises(DataError):
@@ -172,7 +181,7 @@ class TestWeights:
         d = uncensored([[0.0], [1.0]], [0.0, 1.0])
         f = fit(d, ForestConfig(min_node_size=2, n_trees=1, seed=3))
         tree = f.trees[0]
-        counts = np.bincount(tree.bag, minlength=2)
+        counts = np.bincount(in_bag(tree), minlength=2)
         w = tree_weights(tree, [0.0], n=2)
         assert np.array_equal(w.dense(), counts / 2.0)
 
@@ -195,7 +204,6 @@ class TestWeights:
             left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
             right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
             leaf_rows=[None, np.array([0]), None, np.array([1]), np.array([2])],
-            bag=np.arange(3),
         )
         assert np.array_equal(apply(tree, np.array([[0.1], [0.2]])), [1, 1])
 
@@ -223,7 +231,7 @@ class TestWeights:
         min_leaf = min(len(r) for t in f.trees for r in t.leaf_rows if r is not None)
         # bagging duplicates inflate a single row's weight by its in-leaf
         # multiplicity, so the 1/min_leaf bound scales by the worst one
-        max_dup = max(int(np.bincount(t.bag).max()) for t in f.trees)
+        max_dup = max(int(np.bincount(in_bag(t)).max()) for t in f.trees)
         rng = np.random.default_rng(17)
         for _ in range(25):
             x = rng.uniform(0, 2, 1)
@@ -365,6 +373,35 @@ class TestWeightedQuantile:
             got = quantile_from_weights(w, y, tau)
             assert got == weighted_quantile_grid(y, w.dense(), tau)
 
+    def test_grid_equals_scalar_calls(self):
+        rng = np.random.default_rng(35)
+        taus = (0.05, 0.1, 0.25, 0.5, 0.5 + 1e-12, 0.75, 0.9, 0.99)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            raw = rng.uniform(0.1, 1.0, n)
+            cases.append((rng.normal(size=n), raw / raw.sum()))  # random weights
+            cases.append((rng.integers(0, 3, n).astype(float), raw / raw.sum()))  # tie-heavy responses
+        cases.append((np.array([4.0, 8.0, 15.0]), np.array([0.0, 1.0, 0.0])))  # one-row support
+        for y, dense in cases:
+            w = WeightVector.from_dense(dense)
+            grid = quantile_from_weights(w, y, taus)
+            assert isinstance(grid, np.ndarray) and grid.shape == (len(taus),)
+            for q, tau in zip(grid, taus):
+                scalar = quantile_from_weights(w, y, tau)
+                assert isinstance(scalar, float)
+                assert q == scalar
+                assert q == weighted_quantile_grid(y, w.dense(), tau)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, np.nan, "half", None])
+    def test_grid_rejects_bad_levels(self, bad):
+        w = WeightVector.uniform(3)
+        y = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(DataError):
+            quantile_from_weights(w, y, bad)
+        with pytest.raises(DataError):
+            quantile_from_weights(w, y, [0.1, bad, 0.9])
+
     def test_monotone_in_tau(self):
         d = toy_dataset(n=60, seed=21)
         f = fit(d, ForestConfig(min_node_size=6, n_trees=10, seed=22))
@@ -400,7 +437,10 @@ class TestSerialization:
         for tree_a, tree_b in zip(f.trees, g.trees):
             assert np.array_equal(tree_a.feature, tree_b.feature)
             assert np.array_equal(tree_a.threshold, tree_b.threshold, equal_nan=True)
-            assert np.array_equal(tree_a.bag, tree_b.bag)
+            assert len(tree_a.leaf_rows) == len(tree_b.leaf_rows)
+            for rows_a, rows_b in zip(tree_a.leaf_rows, tree_b.leaf_rows):
+                assert (rows_a is None) == (rows_b is None)
+                assert rows_a is None or np.array_equal(rows_a, rows_b)
 
     def test_saved_bytes_equal_whole_document_dump(self, tmp_path):
         d = toy_dataset(n=60, seed=28, model="aft-multi")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqforest import metrics
 from cqforest.data import DataError
 from cqforest.metrics import EvalReport, c_index, pinball, quantile_losses
 
@@ -96,6 +97,18 @@ class TestCIndex:
                 continue
             assert c_index(pred, y, event) == pytest.approx(expect, abs=1e-12)
             done += 1
+
+    def test_blocks_match_pair_oracle_exactly(self, monkeypatch):
+        # a few rows per block, so the pair counts are summed over many blocks
+        rng = np.random.default_rng(19)
+        n = 150
+        pred = rng.integers(0, 6, n).astype(float)  # prediction ties
+        y = rng.integers(1, 8, n).astype(float)  # outcome ties
+        event = rng.integers(0, 2, n)
+        expect = c_index_pairs(list(pred), list(y), list(event))
+        assert c_index(pred, y, event) == expect
+        monkeypatch.setattr(metrics, "_PAIR_CELLS", 7 * n)
+        assert c_index(pred, y, event) == expect
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(17)
