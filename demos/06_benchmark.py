@@ -7,6 +7,8 @@ row per (replication, method, tau, metric), plus mean/sd aggregates.
 """
 
 import csv
+import tempfile
+from pathlib import Path
 
 from cqforest.bench import ExperimentSpec, run
 
@@ -20,11 +22,11 @@ spec = ExperimentSpec(
     trees=100,
     seed=0,
 )
-results_path, aggregate_path = run(spec, "/tmp/demo_bench", threads=2)
-print(f"wrote {results_path}\nwrote {aggregate_path}\n")
-
-with open(aggregate_path, newline="", encoding="utf-8") as fh:
-    rows = [r for r in csv.DictReader(fh) if r["metric"] == "l_quantile"]
+with tempfile.TemporaryDirectory() as out_dir:
+    results_path, aggregate_path = run(spec, out_dir, threads=2)
+    print(f"wrote {Path(results_path).name} and {Path(aggregate_path).name} to a temporary directory\n")
+    with open(aggregate_path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["metric"] == "l_quantile"]
 rows.sort(key=lambda r: (float(r["tau"]), r["method"]))
 print(f"{'tau':>4} {'method':>12} {'mean pinball':>13} {'sd':>8}")
 for r in rows:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, SimConfig, check_taus, simulate, true_quantile
+from .data import DataError, Dataset, SimConfig, check_taus, open_utf8, simulate, true_quantile
 from .estimator import CqrConfig, _select_root, predict_with_weights
 from .forest import ForestConfig, WeightVector, fit, quantile_from_weights, support_grid, weight_matrix
 from .metrics import c_index, quantile_losses
@@ -327,7 +327,7 @@ def load_spec(path):
     """Parse a key=value spec file (# comments and blank lines allowed)."""
     kv = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None

@@ -1,6 +1,6 @@
 """Command-line interface: simulate, fit, predict, evaluate, bench.
 
-All inputs and outputs are headered CSV (plus the JSON model file), all
+All inputs and outputs are headered CSV (plus the binary model file), all
 randomness flows from --seed flags, and exit codes are 0 (success),
 2 (usage error), 3 (data/file error), 4 (internal error).
 """
@@ -19,6 +19,7 @@ from .data import (
     detect_schema,
     load_csv,
     load_features_csv,
+    open_utf8,
     simulate,
     write_csv,
 )
@@ -88,7 +89,7 @@ def _cmd_predict(args):
 
 
 def _read_predictions(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -180,7 +181,7 @@ def _build_parser():
     sp.add_argument("--node-size", type=int, default=None, help="minimum leaf size (default: n/10)")
     sp.add_argument("--mtry", type=int, default=None, help="features tried per split (default: ceil(p/3))")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--model-out", required=True, help="output model file (JSON)")
+    sp.add_argument("--model-out", required=True, help="output model file (.npz archive, written to this exact path)")
     sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_fit)
 

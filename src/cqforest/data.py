@@ -8,6 +8,7 @@ conditional quantiles are provided for benchmarking.
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,16 @@ class CsvSchema:
     latent: str | None = None
 
 
+@contextmanager
+def open_utf8(path):
+    """Open a text file to read as UTF-8; a byte that is not UTF-8 raises DataError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, schema):
     """Read a UTF-8, comma-separated, headered file into a Dataset.
 
@@ -236,7 +247,7 @@ def load_csv(path, schema):
     """
     if not schema.features:
         raise DataError("schema must name at least one feature column")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -294,7 +305,7 @@ def load_csv(path, schema):
 
 
 def _read_header(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -345,7 +356,7 @@ def load_features_csv(path, names=None, n_features=None):
         raise DataError(f"{path}: expected {n_features} feature columns, found {len(chosen)}")
     idx = [header.index(c) for c in chosen]
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, rec in enumerate(reader, start=2):

@@ -9,11 +9,11 @@ adjusted estimating equation.
 """
 
 import hashlib
-import itertools
 import json
 import math
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -142,58 +142,59 @@ class _Nodes:
 
 
 def _pack(trees, n_trees, n):
-    """One flat store for ``n_trees`` trees of ``n`` in-bag rows each, and the trees as views into it.
+    """One flat store for ``n_trees`` trees of ``n`` in-bag rows each.
 
     ``trees`` may be lazy: each tree's leaf rows are copied into the
     store as the tree arrives and its own arrays are then dropped, so
-    the forest's leaf rows are never held twice.
+    the forest's leaf rows are never held twice. Rows are int32, as in
+    the model file.
     """
-    rows = np.empty(n_trees * n, dtype=np.int64)
+    rows = np.empty(n_trees * n, dtype=np.int32)
     kept, sizes = [], []
     for t, tree in enumerate(trees):
         np.concatenate([r for r in tree.leaf_rows if r is not None], out=rows[t * n : (t + 1) * n])
         sizes += [0 if r is None else len(r) for r in tree.leaf_rows]
         kept.append((tree.feature, tree.threshold, tree.left, tree.right))
     features, thresholds, lefts, rights = zip(*kept)
-    bounds = np.cumsum([0] + [f.size for f in features])
+    roots = np.cumsum([0] + [f.size for f in features[:-1]])
     feature, threshold, left, right = map(np.concatenate, (features, thresholds, lefts, rights))
-    row_ptr = np.cumsum([0] + sizes)
-    nodes = _Nodes(feature, threshold, left, right, roots=bounds[:-1], row_ptr=row_ptr, rows=rows)
-    ptr = row_ptr.tolist()
-    views = [
+    return _Nodes(feature, threshold, left, right, roots=roots, row_ptr=np.cumsum([0] + sizes), rows=rows)
+
+
+def _views(nodes):
+    """Every tree of the store as a ``Tree`` whose arrays are views into it."""
+    bounds = np.append(nodes.roots, nodes.feature.size).tolist()
+    ptr = nodes.row_ptr.tolist()
+    return [
         Tree(
-            feature=feature[a:b],
-            threshold=threshold[a:b],
-            left=left[a:b],
-            right=right[a:b],
-            leaf_rows=[rows[ptr[g] : ptr[g + 1]] if ptr[g + 1] > ptr[g] else None for g in range(a, b)],
+            nodes.feature[a:b], nodes.threshold[a:b], nodes.left[a:b], nodes.right[a:b],
+            [nodes.rows[ptr[g] : ptr[g + 1]] if ptr[g + 1] > ptr[g] else None for g in range(a, b)],
         )
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        for a, b in zip(bounds[:-1], bounds[1:])
     ]
-    return nodes, views
 
 
 @dataclass
 class Forest:
     """A fitted forest bound to its training data.
 
-    ``trees`` may be given as any iterable of ``config.n_trees`` trees,
-    each holding ``n_train`` in-bag rows. On construction they are packed
-    into one flat store (``_pack``) and ``trees`` becomes a list of views
-    into it, so the forest is held once and walked in one pass.
+    ``_nodes`` is the flat store holding every tree (built by ``_pack``
+    in ``fit``, read back whole by ``load_forest``), so the forest is
+    held once and walked in one pass; ``trees`` is a list of per-tree
+    views into it.
     """
 
     config: ForestConfig
-    trees: list
     n_train: int
     n_features: int
     response: np.ndarray
     checksum: str
+    _nodes: _Nodes = field(repr=False, compare=False)
     feature_names: tuple | None = field(default=None)
-    _nodes: _Nodes = field(init=False, repr=False, compare=False)
+    trees: list = field(init=False)
 
     def __post_init__(self):
-        self._nodes, self.trees = _pack(self.trees, self.config.n_trees, self.n_train)
+        self.trees = _views(self._nodes)
 
 
 def _pure(y):
@@ -318,11 +319,11 @@ def fit(data, cfg, threads=1, feature_names=None):
         trees = map(build, seeds)  # lazy: each tree is grown as the packing reaches it
     return Forest(
         config=cfg,
-        trees=trees,
         n_train=data.n,
         n_features=data.p,
         response=data.response,
         checksum=data_checksum(data),
+        _nodes=_pack(trees, cfg.n_trees, data.n),
         feature_names=tuple(feature_names) if feature_names else None,
     )
 
@@ -476,47 +477,44 @@ def weighted_quantile(forest, x, tau):
 
 
 FOREST_FORMAT = "cqforest-forest"
-FOREST_VERSION = 1
+FOREST_VERSION = 2
+# the arrays of a model file: the fields of ``_Nodes``, with their dtypes
+_STORE = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
+          "roots": np.int64, "row_ptr": np.int64, "rows": np.int32}
+
+
+def _digest(arrays):
+    """SHA-256 over each array's name, dtype, shape and bytes, in name order."""
+    h = hashlib.sha256()
+    for name, a in sorted(arrays.items()):
+        h.update(f"{name}:{a.dtype.str}:{a.shape};".encode() + np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def save_forest(forest, path):
-    """Serialize to a versioned JSON model file with exact float round-trip.
+    """Write the forest's flat store to ``path`` (as given) as one ``.npz`` archive.
 
-    The file is written one tree record at a time, so the whole document
-    is never built in memory; the bytes are those of ``json.dump`` of it.
+    The archive holds the ``_Nodes`` arrays under their field names and
+    a 0-d string array ``header``: JSON with the format tag, version,
+    config, training-data dimensions, feature names, the training-data
+    checksum and the arrays' SHA-256 digest.
     """
+    arrays = {k: np.asarray(getattr(forest._nodes, k), dtype=t) for k, t in _STORE.items()}
     head = {
         "format": FOREST_FORMAT,
         "version": FOREST_VERSION,
-        "config": {
-            "min_node_size": forest.config.min_node_size,
-            "n_trees": forest.config.n_trees,
-            "mtry": forest.config.mtry,
-            "min_child_fraction": forest.config.min_child_fraction,
-            "bootstrap": forest.config.bootstrap,
-            "seed": forest.config.seed,
-        },
+        "config": asdict(forest.config),
         "n_train": forest.n_train,
         "n_features": forest.n_features,
         "feature_names": list(forest.feature_names) if forest.feature_names else None,
         "checksum": forest.checksum,
+        "digest": _digest(arrays),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        # "trees" is the last key: open its list in place of the closing brace
-        fh.write(json.dumps(head)[:-1] + ', "trees": [')
-        for i, tree in enumerate(forest.trees):
-            rec = {
-                "feature": tree.feature.tolist(),
-                "threshold": [None if math.isnan(t) else t for t in tree.threshold.tolist()],
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "leaf_rows": [None if r is None else r.tolist() for r in tree.leaf_rows],
-            }
-            fh.write((", " if i else "") + json.dumps(rec))
-        fh.write("]}")
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(head)), **arrays)
 
 
-_DOC_TYPES = {"n_train": int, "n_features": int, "checksum": str, "config": dict, "trees": list}
+_DOC_TYPES = {"n_train": int, "n_features": int, "checksum": str, "config": dict, "digest": str}
 _CONFIG_TYPES = {
     "min_node_size": int,
     "n_trees": int,
@@ -525,7 +523,10 @@ _CONFIG_TYPES = {
     "bootstrap": bool,
     "seed": int,
 }
-_TREE_KEYS = ("feature", "threshold", "left", "right", "leaf_rows")
+# what np.load, zipfile and json raise on bytes that are not a model archive;
+# MemoryError comes from an array header claiming more elements than fit in memory
+_UNREADABLE = (ValueError, KeyError, EOFError, OSError, RuntimeError, NotImplementedError, MemoryError,
+               zipfile.BadZipFile)
 
 
 def _has_type(value, types):
@@ -534,88 +535,70 @@ def _has_type(value, types):
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
-def _int_array(values, size):
-    a = np.asarray(values)
-    if a.shape != (size,) or a.dtype.kind != "i":
-        raise DataError(f"expected a list of {size} integers")
-    return a
+def _check_store(nodes, n_trees, p, n):
+    """DataError unless the store holds ``n_trees`` valid trees over p features and n rows.
 
-
-def _load_tree(rec, p, n):
-    """Tree from its JSON record, or DataError unless the record is a valid tree.
-
-    Valid means: equal-length arrays; features in [-1, p); finite
-    thresholds on internal nodes only; internal nodes' children forming
-    a permutation of 1..m-1, each greater than its parent (so every node
-    is reached from the root exactly once and the walk terminates); and
-    leaf rows on exactly the leaves, nonempty, in [0, n) and n in total.
+    Each check runs over all trees at once. Together they make every
+    tree's walk reach each of its nodes exactly once and end at a leaf
+    holding in-bag rows; pointers are compared, never subtracted, until
+    they are known to be in range, so no check can overflow.
     """
-    if not isinstance(rec, dict) or not all(isinstance(rec.get(k), list) for k in _TREE_KEYS):
-        raise DataError("malformed tree record")
-    m = len(rec["feature"])
-    if m == 0 or any(len(rec[k]) != m for k in _TREE_KEYS):
-        raise DataError("tree arrays must be nonempty and of equal length")
-    try:
-        feature, left, right = (_int_array(rec[k], m) for k in ("feature", "left", "right"))
-        threshold = np.array(rec["threshold"], dtype=np.float64)  # null loads as nan
-    except (TypeError, ValueError):
-        raise DataError("malformed tree arrays") from None
-    if threshold.shape != (m,):
-        raise DataError("malformed tree arrays")
-    internal = feature >= 0
-    parents = np.flatnonzero(internal)
-    children = np.concatenate([left[internal], right[internal]])
+    feature, left, right, roots = nodes.feature, nodes.left, nodes.right, nodes.roots
+    m = feature.size
+    if roots.size != n_trees:
+        raise DataError(f"expected {n_trees} trees, found {roots.size}")
+    if any(a.size != m for a in (nodes.threshold, left, right)) or nodes.row_ptr.size != m + 1:
+        raise DataError("tree arrays must be of equal length")
+    if roots[0] != 0 or (roots[1:] <= roots[:-1]).any() or roots[-1] >= m:
+        raise DataError("tree roots must increase strictly from 0")
     if (feature < -1).any() or (feature >= p).any():
         raise DataError("split feature out of range")
-    if not np.isfinite(threshold[internal]).all() or not np.isnan(threshold[~internal]).all():
-        raise DataError("thresholds must be finite on internal nodes and null on leaves")
-    if not np.array_equal(np.sort(children), np.arange(1, m)) or not (
-        (left[internal] > parents).all() and (right[internal] > parents).all()
+    internal = feature >= 0
+    if not np.isfinite(nodes.threshold[internal]).all() or not np.isnan(nodes.threshold[~internal]).all():
+        raise DataError("thresholds must be finite on internal nodes and NaN on leaves")
+    size = np.diff(np.append(roots, m))
+    tree = np.tile(np.repeat(np.arange(n_trees), size)[internal], 2)
+    parent = np.tile(np.flatnonzero(internal), 2) - roots[tree]
+    child = np.concatenate([left[internal], right[internal]])
+    if not ((child > parent) & (child < size[tree])).all() or not np.array_equal(
+        np.sort(roots[tree] + child), np.setdiff1d(np.arange(m), roots)
     ):
         raise DataError("child links do not form a tree")
-    leaf_rows = rec["leaf_rows"]
-    if not np.array_equal([r is not None for r in leaf_rows], ~internal):
-        raise DataError("leaf rows must be present on exactly the leaves")
-    leaves = np.flatnonzero(~internal)
-    lists = [leaf_rows[i] for i in leaves]
-    if not all(isinstance(r, list) and r for r in lists):
-        raise DataError("leaf rows must be nonempty lists")
-    try:
-        rows = _int_array(list(itertools.chain.from_iterable(lists)), n)
-    except ValueError:
-        raise DataError(f"leaf rows must be {n} integers in total") from None
-    if (rows < 0).any() or (rows >= n).any():
+    ptr = nodes.row_ptr
+    if (ptr[1:] < ptr[:-1]).any():
+        raise DataError("row_ptr must not fall")
+    if not np.array_equal(ptr[1:] > ptr[:-1], ~internal):
+        raise DataError("leaf rows must be nonempty on exactly the leaves")
+    per_tree = ptr[np.append(roots, m)]
+    if nodes.rows.size != n_trees * n or not np.array_equal(per_tree, np.arange(n_trees + 1) * n):
+        raise DataError(f"leaf rows must be {n} integers per tree")
+    if (nodes.rows < 0).any() or (nodes.rows >= n).any():
         raise DataError("leaf row out of range")
-    loaded = [None] * m
-    ends = list(itertools.accumulate(len(r) for r in lists))
-    for i, a, b in zip(leaves.tolist(), [0] + ends, ends):
-        loaded[i] = rows[a:b]
-    return Tree(
-        feature=feature.astype(np.int32),
-        threshold=threshold,
-        left=left.astype(np.int32),
-        right=right.astype(np.int32),
-        leaf_rows=loaded,
-    )
 
 
 def load_forest(path, data):
     """Load a model file and bind it to its training data.
 
     The file stores a checksum of the training arrays; a mismatch means
-    the supplied data is not what the forest was fitted on. Every field
-    is validated (see ``_load_tree`` for the tree structure), so a
-    corrupt file raises DataError instead of mispredicting or hanging.
+    the supplied data is not what the forest was fitted on. The header,
+    the arrays' digest and the tree structure (``_check_store``) are all
+    validated, so a corrupt file raises DataError instead of
+    mispredicting or hanging. Only format version 2 is read.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not a valid model file ({exc})") from None
+            if fh.read(4) != b"PK\x03\x04":  # the zip signature np.savez writes first
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:  # a member that is not .npy data loads as bytes
+                arrays = {name: np.asarray(archive[name]) for name in archive.files}
+            doc = json.loads(str(arrays.pop("header")))
+        except _UNREADABLE as exc:
+            raise DataError(f"{path}: not a valid model file ({exc}); re-fit models saved as JSON") from None
     if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
         raise DataError(f"{path}: unrecognized model format")
     if doc.get("version") != FOREST_VERSION:
-        raise DataError(f"{path}: unsupported model version {doc.get('version')!r}")
+        raise DataError(f"{path}: unsupported model version {doc.get('version')!r}; re-fit the model")
     for key, types in _DOC_TYPES.items():
         if not _has_type(doc.get(key), types):
             raise DataError(f"{path}: missing or malformed {key!r}")
@@ -629,18 +612,22 @@ def load_forest(path, data):
     config = doc["config"]
     if set(config) != set(_CONFIG_TYPES) or not all(_has_type(config[k], t) for k, t in _CONFIG_TYPES.items()):
         raise DataError(f"{path}: malformed forest config")
+    if set(arrays) != set(_STORE) or any(arrays[k].dtype != t or arrays[k].ndim != 1 for k, t in _STORE.items()):
+        raise DataError(f"{path}: model arrays must be the 1-d {', '.join(_STORE)} of their saved dtypes")
+    if doc["digest"] != _digest(arrays):
+        raise DataError(f"{path}: model arrays do not match their digest")
+    nodes = _Nodes(**arrays)
     try:
         cfg = ForestConfig(**config)
-        if len(doc["trees"]) != cfg.n_trees:
-            raise DataError(f"expected {cfg.n_trees} trees, found {len(doc['trees'])}")
-        return Forest(
-            config=cfg,
-            trees=(_load_tree(rec, data.p, data.n) for rec in doc["trees"]),
-            n_train=data.n,
-            n_features=data.p,
-            response=data.response,
-            checksum=doc["checksum"],
-            feature_names=tuple(names) if names else None,
-        )
+        _check_store(nodes, cfg.n_trees, data.p, data.n)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    return Forest(
+        config=cfg,
+        n_train=data.n,
+        n_features=data.p,
+        response=data.response,
+        checksum=doc["checksum"],
+        _nodes=nodes,
+        feature_names=tuple(names) if names else None,
+    )

@@ -1,5 +1,6 @@
 import csv
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cqforest.cli import main
 from cqforest.data import DataError, SimConfig, detect_schema, load_csv, simulate, write_csv
 from cqforest.estimator import CqrConfig, predict_batch
-from cqforest.forest import ForestConfig, fit, load_forest
+from cqforest.forest import ForestConfig, Tree, _digest, _Nodes, _pack, _views, fit, load_forest
 
 
 def read_rows(path):
@@ -47,9 +48,10 @@ class TestPipeline:
         assert 0.0 < 1.0 - data.event.mean() < 1.0
 
     def test_model_file_shape(self, workspace):
-        doc = json.loads((workspace / "model.json").read_text())
-        assert doc["format"] == "cqforest-forest"
-        assert len(doc["trees"]) == 25
+        head, arrays = read_model(workspace / "model.json")
+        assert head["format"] == "cqforest-forest" and head["version"] == 2
+        assert arrays["roots"].size == 25
+        assert arrays["rows"].size == 25 * 120 and arrays["rows"].dtype == np.int32
 
     def test_predictions_match_in_process(self, workspace):
         train = load_csv(workspace / "train.csv", detect_schema(workspace / "train.csv"))
@@ -181,78 +183,253 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-DROP = object()
-# a well-formed tree over the 120 training rows except that node 3 is its own
-# child: the child links still permute 1..4, so only "child > parent" catches it
-DETACHED_CYCLE = {
-    "feature": [0, -1, -1, 0, -1],
-    "threshold": [1.0, None, None, 1.0, None],
-    "left": [1, -1, -1, 3, -1],
-    "right": [2, -1, -1, 4, -1],
-    "leaf_rows": [None, list(range(118)), [118], None, [119]],
-}
-# (case, key path into the model JSON, new value: DROP deletes the key, a
-# callable maps the old value)
-CORRUPTIONS = [
-    ("not-an-object", (), lambda doc: [doc]),
-    ("no-trees", ("trees",), DROP),
-    ("trees-not-a-list", ("trees",), {"0": 1}),
-    ("n-train-string", ("n_train",), "120"),
-    ("feature-names-not-a-list", ("feature_names",), 5),
-    ("unknown-config-key", ("config", "turbo"), 1),
-    ("missing-config-key", ("config", "seed"), DROP),
-    ("config-bool-for-int", ("config", "n_trees"), True),
-    ("tree-count-mismatch", ("config", "n_trees"), 24),
-    ("tree-not-an-object", ("trees", 0), [1, 2]),
-    ("ragged-arrays", ("trees", 0, "left"), [1]),
-    ("feature-out-of-range", ("trees", 0, "feature", 0), 1),
-    ("feature-below-minus-one", ("trees", 0, "feature", 0), -2),
-    ("feature-not-integer", ("trees", 0, "feature", 0), 0.5),
-    ("threshold-nan", ("trees", 0, "threshold", 0), float("nan")),
-    ("threshold-string", ("trees", 0, "threshold", 0), "abc"),
-    ("threshold-on-leaf", ("trees", 0, "threshold", -1), 1.0),
-    ("child-out-of-range", ("trees", 0, "left", 0), 99999),
-    ("shared-child", ("trees", 0, "right", 0), 1),
-    ("detached-cycle", ("trees", 0), DETACHED_CYCLE),
-    ("leaf-rows-on-internal-node", ("trees", 0, "leaf_rows", 0), [0]),
-    ("leaf-rows-missing-on-leaf", ("trees", 0, "leaf_rows", -1), None),
-    ("leaf-rows-empty", ("trees", 0, "leaf_rows", -1), []),
-    ("leaf-row-out-of-range", ("trees", 0, "leaf_rows", -1, 0), 120),
-    ("leaf-row-negative", ("trees", 0, "leaf_rows", -1, 0), -1),
-    ("leaf-row-dropped", ("trees", 0, "leaf_rows", -1), lambda rows: rows[1:]),
+def read_model(path):
+    """(header dict, arrays) of a model archive."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    return json.loads(str(arrays.pop("header"))), arrays
+
+
+def write_model(path, head, arrays, redigest=True):
+    """Save a model archive; with ``redigest`` the header's digest matches the arrays."""
+    if redigest and isinstance(head, dict):
+        head = {**head, "digest": _digest(arrays)}
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(head)), **arrays)
+    return path
+
+
+# (case, bytes put first, the good file the bad one copies, argv with the bad
+# file in place of it); each bad file ends in a byte that is not UTF-8 after
+# blank lines that fill more than the first decoded chunk, so the reader's body
+# meets it, not its header read, unless the bytes put first already fail
+NOT_UTF8 = [
+    ("fit-data", b"", "train.csv", "fit --data {bad} --trees 2 --model-out {tmp}/m.bin"),
+    ("fit-data-header", b"\xff", "train.csv", "fit --data {bad} --trees 2 --model-out {tmp}/m.bin"),
+    ("predict-features", b"", "points.csv",
+     "predict --model {ws}/model.json --data {ws}/train.csv --features {bad} --taus 0.5 --out {tmp}/p.csv"),
+    ("evaluate-pred", b"", "pred.csv", "evaluate --pred {bad} --truth {ws}/train.csv --out {tmp}/e.csv"),
+    ("evaluate-truth", b"", "train.csv", "evaluate --pred {ws}/pred.csv --truth {bad} --out {tmp}/e.csv"),
+    ("bench-spec", b"", None, "bench --spec {bad} --out-dir {tmp}/out"),
 ]
 
 
-def corrupt_model(workspace, tmp_path, path, value):
-    doc = json.loads((workspace / "model.json").read_text())
-    if not path:
-        doc = value(doc)
-    else:
-        parent = doc
+@pytest.mark.parametrize("case,first,good,argv", NOT_UTF8, ids=[c[0] for c in NOT_UTF8])
+def test_input_not_utf8_exits_3(workspace, tmp_path, capsys, case, first, good, argv):
+    bad = tmp_path / "bad.txt"
+    text = (workspace / good).read_bytes() if good else b"scenario = aft1d\n"
+    bad.write_bytes(first + text + b"\n" * 70000 + b"\xff\n")
+    assert main(argv.format(bad=bad, ws=workspace, tmp=tmp_path).split()) == 3
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+DROP = object()
+
+
+def header(path, value):
+    """Corruption of the header at a key path: DROP deletes the key, a callable maps the old value."""
+    def corrupt(head, arrays):
+        if not path:
+            return value(head), arrays
+        parent = head
         for key in path[:-1]:
             parent = parent[key]
         if value is DROP:
             del parent[path[-1]]
         else:
             parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
-    out = tmp_path / "corrupt.json"
-    out.write_text(json.dumps(doc))
-    return out
+        return head, arrays
+    return corrupt
+
+
+def array(name, value):
+    """Corruption replacing one array by ``value(arrays)``."""
+    return lambda head, arrays: (head, {**arrays, name: value(arrays)})
+
+
+def put(name, index, value, dtype=None):
+    """Corruption setting one element of an array, in ``dtype`` if given; a callable index maps the arrays."""
+    def edit(arrays):
+        out = arrays[name].astype(dtype or arrays[name].dtype)
+        out[index(arrays) if callable(index) else index] = value
+        return out
+    return array(name, edit)
+
+
+def last0(arrays):
+    """Id of tree 0's last node: a leaf, holding the last of tree 0's 120 rows."""
+    return int(arrays["roots"][1]) - 1
+
+
+def drop_rows(count):
+    """Corruption deleting the last ``count(arrays)`` rows of tree 0 (its last leaf's)."""
+    def corrupt(head, arrays):
+        k = count(arrays)
+        ptr = arrays["row_ptr"].copy()
+        ptr[last0(arrays) + 1 :] -= k
+        return head, {**arrays, "row_ptr": ptr, "rows": np.delete(arrays["rows"], np.arange(120 - k, 120))}
+    return corrupt
+
+
+def crafted(feature, left, right, leaf_rows):
+    """A tree splitting feature 0 at 1.0 on every internal node; ``leaf_rows`` maps leaves to rows."""
+    i32 = lambda v: np.array(v, dtype=np.int32)  # noqa: E731
+    threshold = np.where(np.array(feature) >= 0, 1.0, np.nan)
+    rows = [i32(leaf_rows[i]) if i in leaf_rows else None for i in range(len(feature))]
+    return Tree(i32(feature), threshold, i32(left), i32(right), rows)
+
+
+def with_trees(*trees):
+    """Corruption replacing the model's first trees by ``trees``."""
+    return lambda head, arrays: (head, vars(_pack([*trees, *_views(_Nodes(**arrays))[len(trees):]], 25, 120)))
+
+
+# node 3 is its own child: the child links still permute 1..4, so only
+# "child > parent" catches it
+DETACHED_CYCLE = crafted([0, -1, -1, 0, -1], [1, -1, -1, 3, -1], [2, -1, -1, 4, -1],
+                         {1: range(118), 2: [118], 4: [119]})
+# node 1 of a 3-node tree links to local ids 4 and 5, the leaves 1 and 2 of
+# the next tree, whose root links only to its nodes 3 and 4: across the two
+# trees every non-root node has one parent above it, so only "child < tree
+# size" catches it
+CROSS_TREE = (
+    crafted([0, 0, -1], [1, 4, -1], [2, 5, -1], {2: range(120)}),
+    crafted([0, -1, -1, -1, -1], [3, -1, -1, -1, -1], [4, -1, -1, -1, -1],
+            {1: range(30), 2: range(30, 60), 3: range(60, 90), 4: range(90, 120)}),
+)
+
+
+# (case, corruption of the fitted model's (header, arrays)); each corrupt model
+# is saved with a digest that matches its arrays, so the header or structure
+# checks must catch it, not the digest
+CORRUPTIONS = [
+    ("not-an-object", header((), lambda doc: [doc])),
+    ("no-trees", lambda head, arrays: (head, {k: v for k, v in arrays.items() if k != "roots"})),
+    ("trees-not-a-list", array("roots", lambda a: a["roots"].astype(np.float64))),
+    ("n-train-string", header(("n_train",), "120")),
+    ("feature-names-not-a-list", header(("feature_names",), 5)),
+    ("unknown-config-key", header(("config", "turbo"), 1)),
+    ("missing-config-key", header(("config", "seed"), DROP)),
+    ("config-bool-for-int", header(("config", "n_trees"), True)),
+    ("tree-count-mismatch", header(("config", "n_trees"), 24)),
+    ("tree-not-an-object", array("left", lambda a: a["left"][:, None])),
+    ("ragged-arrays", array("left", lambda a: a["left"][:-1])),
+    ("feature-out-of-range", put("feature", 0, 1)),
+    ("feature-below-minus-one", put("feature", 0, -2)),
+    ("feature-not-integer", put("feature", 0, 0.5, np.float64)),
+    ("threshold-nan", put("threshold", 0, np.nan)),
+    ("threshold-string", array("threshold", lambda a: a["threshold"].astype(str))),
+    ("threshold-on-leaf", put("threshold", last0, 1.0)),
+    ("child-out-of-range", put("left", 0, 99999)),
+    ("shared-child", put("right", 0, 1)),
+    ("detached-cycle", with_trees(DETACHED_CYCLE)),
+    ("leaf-rows-on-internal-node", put("row_ptr", 1, 1)),
+    ("leaf-rows-missing-on-leaf", drop_rows(lambda a: 120 - int(a["row_ptr"][last0(a)]))),
+    ("leaf-rows-empty", put("row_ptr", last0, 120)),  # the node before takes them: 120 in all
+    ("leaf-row-out-of-range", put("rows", 119, 120)),
+    ("leaf-row-negative", put("rows", 119, -1)),
+    ("leaf-row-dropped", drop_rows(lambda a: 1)),
+    ("roots-not-increasing", put("roots", 2, 0)),
+    ("row-ptr-falling", put("row_ptr", 1, -1)),
+    ("child-leaves-its-tree", with_trees(*CROSS_TREE)),
+]
+
+
+def corrupt_model(workspace, tmp_path, corruption):
+    head, arrays = read_model(workspace / "model.json")
+    return write_model(tmp_path / "corrupt.json", *corruption(head, arrays))
+
+
+def npy(path, workspace):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(5))
+
+
+def object_npz(path, workspace):
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array([{"format": "cqforest-forest"}], dtype=object))
+
+
+def no_header(path, workspace):
+    with open(path, "wb") as fh:
+        np.savez(fh, **read_model(workspace / "model.json")[1])
+
+
+def shape_beyond_memory(path, workspace):
+    """An archive whose one array claims 10**12 int32 elements (4 TiB) and holds none."""
+    with zipfile.ZipFile(path, "w") as archive, archive.open("rows.npy", "w") as fh:
+        np.lib.format.write_array_header_2_0(fh, {"descr": "<i4", "fortran_order": False, "shape": (10**12,)})
+
+
+def v1_json(path, workspace):
+    """The model as the JSON document of format version 1."""
+    head, arrays = read_model(workspace / "model.json")
+    del head["digest"]
+    trees = [
+        {
+            "feature": t.feature.tolist(),
+            "threshold": [None if np.isnan(v) else v for v in t.threshold.tolist()],
+            "left": t.left.tolist(),
+            "right": t.right.tolist(),
+            "leaf_rows": [None if r is None else r.tolist() for r in t.leaf_rows],
+        }
+        for t in _views(_Nodes(**arrays))
+    ]
+    path.write_text(json.dumps({**head, "version": 1, "trees": trees}))
+
+
+# (case, writer of a file that is not a model archive)
+FOREIGN = [
+    ("empty-file", lambda path, ws: path.write_bytes(b"")),
+    ("truncated", lambda path, ws: path.write_bytes((ws / "model.json").read_bytes()[:-100])),
+    ("random-bytes", lambda path, ws: path.write_bytes(np.random.default_rng(0).bytes(4096))),
+    ("bare-npy", npy),
+    ("object-array-npz", object_npz),
+    ("no-header", no_header),
+    ("shape-beyond-memory", shape_beyond_memory),
+    ("version-1-json", v1_json),
+    ("not-utf8", lambda path, ws: path.write_bytes(b"\xff\xfe{")),
+]
 
 
 class TestCorruptModel:
-    @pytest.mark.parametrize("case,path,value", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
-    def test_predict_exits_3(self, workspace, tmp_path, capsys, case, path, value):
-        model = corrupt_model(workspace, tmp_path, path, value)
-        code = main(["predict", "--model", str(model), "--data", str(workspace / "train.csv"),
+    def predict(self, workspace, tmp_path, model):
+        return main(["predict", "--model", str(model), "--data", str(workspace / "train.csv"),
                      "--features", str(workspace / "points.csv"), "--taus", "0.5",
                      "--out", str(tmp_path / "p.csv")])
-        assert code == 3
-        assert "cqforest: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,corruption", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+    def test_predict_exits_3(self, workspace, tmp_path, capsys, case, corruption):
+        assert self.predict(workspace, tmp_path, corrupt_model(workspace, tmp_path, corruption)) == 3
+        err = capsys.readouterr().err
+        assert "cqforest: error:" in err and "digest" not in err
+
+    def test_in_range_edit_caught_by_digest(self, workspace, tmp_path, capsys):
+        head, arrays = read_model(workspace / "model.json")
+        arrays["threshold"][0] = np.nextafter(arrays["threshold"][0], np.inf)
+        model = write_model(tmp_path / "edited.json", head, arrays, redigest=False)
+        assert self.predict(workspace, tmp_path, model) == 3
+        assert "do not match their digest" in capsys.readouterr().err
+
+    def test_member_not_npy_exits_3(self, workspace, tmp_path, capsys):
+        model = tmp_path / "raw.json"
+        with zipfile.ZipFile(workspace / "model.json") as good, zipfile.ZipFile(model, "w") as bad:
+            for info in good.infolist():
+                bad.writestr(info.filename, b"not an array" if info.filename == "rows.npy" else good.read(info))
+        assert self.predict(workspace, tmp_path, model) == 3
+        assert "model arrays must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,write", FOREIGN, ids=[c[0] for c in FOREIGN])
+    def test_foreign_file_exits_3(self, workspace, tmp_path, capsys, case, write):
+        model = tmp_path / "foreign.json"
+        write(model, workspace)
+        assert self.predict(workspace, tmp_path, model) == 3
+        err = capsys.readouterr().err
+        assert "cqforest: error:" in err and "re-fit" in err
 
     def test_cycle_through_root_rejected_on_load(self, workspace, tmp_path):
         # checked on load alone: walking such a tree would never return
-        model = corrupt_model(workspace, tmp_path, ("trees", 0, "left", 0), 0)
+        model = corrupt_model(workspace, tmp_path, put("left", 0, 0))
         train = load_csv(workspace / "train.csv", detect_schema(workspace / "train.csv"))
         with pytest.raises(DataError, match="do not form a tree"):
             load_forest(model, train)

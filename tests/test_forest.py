@@ -442,15 +442,26 @@ class TestSerialization:
                 assert (rows_a is None) == (rows_b is None)
                 assert rows_a is None or np.array_equal(rows_a, rows_b)
 
-    def test_saved_bytes_equal_whole_document_dump(self, tmp_path):
+    def test_archive_holds_the_flat_store(self, tmp_path):
         d = toy_dataset(n=60, seed=28, model="aft-multi")
         f = fit(d, ForestConfig(min_node_size=5, n_trees=4, seed=29), feature_names=tuple("abcde"))
         assert f.config.mtry is None
         path = tmp_path / "model.json"
         save_forest(f, path)
-        doc = {
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]  # the path is kept as given
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        head = json.loads(str(arrays.pop("header")))
+        assert list(arrays) == ["feature", "threshold", "left", "right", "roots", "row_ptr", "rows"]
+        for name, a in arrays.items():
+            ref = getattr(f._nodes, name)
+            assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+        assert arrays["rows"].dtype == np.int32
+        digest = head.pop("digest")
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+        assert head == {
             "format": "cqforest-forest",
-            "version": 1,
+            "version": 2,
             "config": {
                 "min_node_size": 5,
                 "n_trees": 4,
@@ -463,18 +474,7 @@ class TestSerialization:
             "n_features": d.p,
             "feature_names": list("abcde"),
             "checksum": data_checksum(d),
-            "trees": [
-                {
-                    "feature": tree.feature.tolist(),
-                    "threshold": [None if np.isnan(t) else float(t) for t in tree.threshold],
-                    "left": tree.left.tolist(),
-                    "right": tree.right.tolist(),
-                    "leaf_rows": [None if r is None else [int(v) for v in r] for r in tree.leaf_rows],
-                }
-                for tree in f.trees
-            ],
         }
-        assert path.read_text(encoding="utf-8") == json.dumps(doc)
 
     def test_checksum_guards_against_wrong_data(self, tmp_path):
         d = toy_dataset(n=30, seed=26)
@@ -492,6 +492,10 @@ class TestSerialization:
         with pytest.raises(DataError, match="not a valid model file"):
             load_forest(bad, d)
         bad.write_text(json.dumps({"format": "something-else"}))
+        with pytest.raises(DataError, match="re-fit"):
+            load_forest(bad, d)
+        with open(bad, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps({"format": "something-else"})))
         with pytest.raises(DataError, match="unrecognized"):
             load_forest(bad, d)
 
