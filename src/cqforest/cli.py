@@ -20,6 +20,7 @@ from .data import (
     load_csv,
     load_features_csv,
     open_utf8,
+    read_header,
     simulate,
     write_csv,
 )
@@ -91,10 +92,7 @@ def _cmd_predict(args):
 def _read_predictions(path):
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = read_header(path, reader)
         for name in ("row", "tau", "q_hat"):
             if name not in header:
                 raise DataError(f"{path}: missing column {name!r}")
@@ -107,7 +105,10 @@ def _read_predictions(path):
                 row, tau, q = int(rec[irow]), float(rec[itau]), float(rec[iq])
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed prediction row") from None
-            table.setdefault(tau, {})[row] = q
+            per_tau = table.setdefault(tau, {})
+            if row in per_tau:
+                raise DataError(f"{path}:{lineno}: repeated prediction for row {row} at tau {tau!r}")
+            per_tau[row] = q
     if not table:
         raise DataError(f"{path}: no prediction rows")
     return table

@@ -249,11 +249,7 @@ def load_csv(path, schema):
         raise DataError("schema must name at least one feature column")
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = read_header(path, reader)
         cols = {}
         wanted = [schema.response, schema.event, *schema.features]
         if schema.latent:
@@ -304,13 +300,23 @@ def load_csv(path, schema):
         raise DataError(f"{path}: {exc}") from None
 
 
+def read_header(path, reader):
+    """The next row of a csv reader as stripped column names, each given once."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: column {name!r} appears more than once")
+        seen.add(name)
+    return header
+
+
 def _read_header(path):
     with open_utf8(path) as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-    return [h.strip() for h in header]
+        return read_header(path, csv.reader(fh))
 
 
 def detect_schema(path, response="y", event="delta", latent="latent"):

@@ -201,13 +201,15 @@ def _pure(y):
     return bool((y == y[0]).all())
 
 
-def _best_split(xb, yb, rows, feats, min_child):
+def _best_split(x, bag, rb, yb, rows, feats, min_child):
     """Best (feature, cut) by variance reduction, or None.
 
     Maximizes sum_L^2/n_L + sum_R^2/n_R (equivalent to minimizing child
     SSE); ties resolve to the lowest feature index, then the lowest
     threshold. Candidate cuts keep both children >= min_child rows and
-    fall between distinct sorted feature values.
+    fall between distinct sorted feature values. Rows are ordered and
+    compared by their bag ranks ``rb``; the float x values (of bag rows
+    ``bag``) are read only at the chosen cut, to set the threshold.
     """
     size = rows.size
     lo, hi = min_child, size - min_child
@@ -217,37 +219,38 @@ def _best_split(xb, yb, rows, feats, min_child):
     best_gain = -math.inf
     best = None
     for f in feats:
-        xv = xb[rows, f]
-        order = np.argsort(xv, kind="stable")
-        xs = xv[order]
-        ok = xs[lo : hi + 1] > xs[lo - 1 : hi]
+        rv = rb[f][rows]
+        order = rv.argsort(kind="stable")
+        rs = rv[order]
+        ok = rs[lo : hi + 1] > rs[lo - 1 : hi]
         if not ok.any():
             continue
-        pos = np.flatnonzero(ok) + lo
-        csum = np.cumsum(yb[rows[order]])
+        pos = ok.nonzero()[0] + lo
+        csum = yb[rows[order]].cumsum()
         left_sum = csum[pos - 1]
         proxy = left_sum * left_sum / pos + (total - left_sum) * (total - left_sum) / (size - pos)
-        j = int(np.argmax(proxy))
+        j = int(proxy.argmax())
         if proxy[j] > best_gain:
             best_gain = proxy[j]
             best = (f, order, int(pos[j]))
     if best is None or best_gain <= total * total / size:
         return None
     f, order, cut = best
-    xs = xb[rows[order], f]
-    thr = (xs[cut - 1] + xs[cut]) / 2.0
-    if thr >= xs[cut]:
+    below, above = x[bag[rows[order[cut - 1 : cut + 1]]], f]
+    thr = (below + above) / 2.0
+    if thr >= above:
         # adjacent floats can round the midpoint up; pin the boundary so
         # "x <= threshold goes left" still separates the two groups
-        thr = xs[cut - 1]
+        thr = below
     return f, float(thr), rows[order[:cut]], rows[order[cut:]]
 
 
-def _grow_tree(x, y, cfg, mtry, rng):
+def _grow_tree(x, ranks, y, cfg, mtry, rng):
     n = y.size
     p = x.shape[1]
     bag = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-    xb, yb = x[bag], y[bag]
+    rb, yb = ranks[:, bag], y[bag]
+    all_feats = np.arange(p)
     feature, threshold, left, right, leaf_rows = [], [], [], [], []
 
     def new_node():
@@ -263,9 +266,13 @@ def _grow_tree(x, y, cfg, mtry, rng):
         nid, node_rows = stack.pop()
         split = None
         if node_rows.size >= 2 * cfg.min_node_size and not _pure(yb[node_rows]):
-            feats = np.sort(rng.choice(p, size=mtry, replace=False))
+            if mtry < p:
+                feats = rng.choice(p, size=mtry, replace=False)
+                feats.sort()
+            else:  # a full draw sorts to arange(p), and nothing reads rng after the draws
+                feats = all_feats
             min_child = max(cfg.min_node_size, int(math.ceil(cfg.min_child_fraction * node_rows.size - 1e-9)))
-            split = _best_split(xb, yb, node_rows, feats, min_child)
+            split = _best_split(x, bag, rb, yb, node_rows, feats, min_child)
         if split is None:
             leaf_rows[nid] = np.sort(bag[node_rows])
             continue
@@ -284,6 +291,17 @@ def _grow_tree(x, y, cfg, mtry, rng):
         right=np.asarray(right, dtype=np.int32),
         leaf_rows=leaf_rows,
     )
+
+
+def _ranks(x):
+    """Each column's dense rank among its distinct values, as a (p, n) array.
+
+    Equal values (-0.0 and 0.0 included) share a rank and ranks increase
+    with x, so sorting and comparing ranks orders rows as their floats
+    do. The dtype is the smallest unsigned one that holds every rank.
+    """
+    codes = np.array([np.unique(col, return_inverse=True)[1] for col in x.T])
+    return codes.astype(np.min_scalar_type(codes.max()))
 
 
 def data_checksum(data):
@@ -308,9 +326,10 @@ def fit(data, cfg, threads=1, feature_names=None):
         raise DataError("mtry exceeds the number of features")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     x, y = data.features, data.response
+    ranks = _ranks(x)
 
     def build(seq):
-        return _grow_tree(x, y, cfg, mtry, np.random.default_rng(seq))
+        return _grow_tree(x, ranks, y, cfg, mtry, np.random.default_rng(seq))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

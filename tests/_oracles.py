@@ -148,3 +148,110 @@ def scattered_weights(trees, xmat, n):
             pts = np.flatnonzero(leaves == leaf)
             np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (len(trees) * rows.size))
     return out
+
+
+def _float_split(xb, yb, rows, feats, min_child):
+    """Best (feature, cut) of one node, sorting the float x values themselves."""
+    size = rows.size
+    lo, hi = min_child, size - min_child
+    if lo > hi:
+        return None
+    total = yb[rows].sum()
+    best_gain = -math.inf
+    best = None
+    for f in feats:
+        xv = xb[rows, f]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        ok = xs[lo : hi + 1] > xs[lo - 1 : hi]
+        if not ok.any():
+            continue
+        pos = np.flatnonzero(ok) + lo
+        csum = np.cumsum(yb[rows[order]])
+        left_sum = csum[pos - 1]
+        proxy = left_sum * left_sum / pos + (total - left_sum) * (total - left_sum) / (size - pos)
+        j = int(np.argmax(proxy))
+        if proxy[j] > best_gain:
+            best_gain = proxy[j]
+            best = (f, order, int(pos[j]))
+    if best is None or best_gain <= total * total / size:
+        return None
+    f, order, cut = best
+    xs = xb[rows[order], f]
+    thr = (xs[cut - 1] + xs[cut]) / 2.0
+    if thr >= xs[cut]:
+        thr = xs[cut - 1]
+    return f, float(thr), rows[order[:cut]], rows[order[cut:]]
+
+
+def grow_tree(x, y, cfg, mtry, rng):
+    """One CART tree grown by float-value sorting at every node.
+
+    Consumes ``rng`` as the package's grower does: the bag first, then one
+    ``rng.choice(p, mtry)`` per node it tries to split, depth first, left
+    child first. Returns (feature, threshold, left, right, leaf_rows), with
+    leaf_rows[i] the sorted in-bag rows of leaf i and None on internal nodes.
+    """
+    n, p = x.shape
+    bag = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+    xb, yb = x[bag], y[bag]
+    feature, threshold, left, right, leaf_rows = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(math.nan)
+        left.append(-1)
+        right.append(-1)
+        leaf_rows.append(None)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(n))]
+    while stack:
+        nid, node_rows = stack.pop()
+        split = None
+        if node_rows.size >= 2 * cfg.min_node_size and not (yb[node_rows] == yb[node_rows[0]]).all():
+            feats = np.sort(rng.choice(p, size=mtry, replace=False))
+            min_child = max(cfg.min_node_size, int(math.ceil(cfg.min_child_fraction * node_rows.size - 1e-9)))
+            split = _float_split(xb, yb, node_rows, feats, min_child)
+        if split is None:
+            leaf_rows[nid] = np.sort(bag[node_rows])
+            continue
+        feature[nid], threshold[nid], lrows, rrows = split
+        lid, rid = new_node(), new_node()
+        left[nid], right[nid] = lid, rid
+        stack.append((rid, rrows))
+        stack.append((lid, lrows))
+    return feature, threshold, left, right, leaf_rows
+
+
+def reference_trees(x, y, cfg, mtry):
+    """Every tree of a forest grown by ``grow_tree``, one SeedSequence spawn per tree."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    return [grow_tree(x, y, cfg, mtry, np.random.default_rng(s)) for s in seeds]
+
+
+def differing_trees(trees, refs):
+    """Indices of the trees whose nodes or leaf rows differ from their reference in any byte.
+
+    The trees' arrays are compared as stored (int32 ids and rows, float64
+    thresholds); the reference is cast to those dtypes.
+    """
+    if len(trees) != len(refs):
+        raise ValueError(f"{len(trees)} trees against {len(refs)} references")
+    out = []
+    for t, (tree, (feature, threshold, left, right, leaf_rows)) in enumerate(zip(trees, refs)):
+        pairs = [
+            (tree.feature, np.asarray(feature, dtype=np.int32)),
+            (tree.threshold, np.asarray(threshold, dtype=np.float64)),
+            (tree.left, np.asarray(left, dtype=np.int32)),
+            (tree.right, np.asarray(right, dtype=np.int32)),
+        ]
+        same = all(a.tobytes() == b.tobytes() for a, b in pairs) and len(tree.leaf_rows) == len(leaf_rows)
+        same = same and all(
+            (a is None and b is None)
+            or (a is not None and b is not None and a.tobytes() == np.asarray(b, dtype=np.int32).tobytes())
+            for a, b in zip(tree.leaf_rows, leaf_rows)
+        )
+        if not same:
+            out.append(t)
+    return out

@@ -183,6 +183,40 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+    def test_evaluate_repeated_prediction_exit_3(self, tmp_path, capsys):
+        truth = simulate(SimConfig(model="aft1d", n=5, censor_rate_param=0.08, seed=4))
+        write_csv(tmp_path / "t.csv", truth)
+        pred = tmp_path / "p.csv"
+        pred.write_text("row,tau,q_hat\n" + "".join(f"{i},0.5,1.0\n" for i in range(5)) + "2,0.50,9.0\n")
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(tmp_path / "t.csv"),
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        assert f"{pred}:7: repeated prediction for row 2" in capsys.readouterr().err
+
+
+def with_repeated_column(good, bad, rows=None):
+    """Copy the first ``rows`` data rows of a CSV, adding a second column named like its first."""
+    lines = good.read_text(encoding="utf-8").splitlines()[: None if rows is None else rows + 1]
+    name = lines[0].split(",")[0]
+    bad.write_text("\n".join([f"{lines[0]},{name}"] + [f"{line},5.0" for line in lines[1:]]) + "\n")
+    return bad
+
+
+# (case, the good file the bad one copies, data rows kept, argv with the bad file in place of it)
+REPEATED_COLUMN = [
+    ("fit-data", "train.csv", None, "fit --data {bad} --trees 2 --model-out {tmp}/m.bin"),
+    ("predict-features", "points.csv", None,
+     "predict --model {ws}/model.json --data {ws}/train.csv --features {bad} --taus 0.5 --out {tmp}/p.csv"),
+    ("evaluate-truth", "train.csv", 3, "evaluate --pred {ws}/pred.csv --truth {bad} --out {tmp}/e.csv"),
+]
+
+
+@pytest.mark.parametrize("case,good,rows,argv", REPEATED_COLUMN, ids=[c[0] for c in REPEATED_COLUMN])
+def test_repeated_column_name_exits_3(workspace, tmp_path, capsys, case, good, rows, argv):
+    bad = with_repeated_column(workspace / good, tmp_path / "bad.csv", rows)
+    assert main(argv.format(bad=bad, ws=workspace, tmp=tmp_path).split()) == 3
+    assert f"{bad}: column 'x1' appears more than once" in capsys.readouterr().err
+
+
 def read_model(path):
     """(header dict, arrays) of a model archive."""
     with np.load(path, allow_pickle=False) as archive:

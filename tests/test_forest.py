@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from cqforest.forest import (
     weight_matrix,
     weighted_mean,
     weighted_quantile,
+    _ranks,
 )
 
-from _oracles import scattered_weights, tree_leaves, weighted_quantile_grid
+from _oracles import differing_trees, reference_trees, scattered_weights, tree_leaves, weighted_quantile_grid
 
 
 def toy_dataset(n=60, p=1, seed=0, model="aft1d"):
@@ -131,12 +133,63 @@ class TestGrowth:
                         assert sizes[child] >= 0.3 * parent - 1e-9
 
     def test_threads_do_not_change_result(self):
-        d = toy_dataset(n=80, seed=8)
-        cfg = ForestConfig(min_node_size=8, n_trees=12, seed=9)
-        f1 = fit(d, cfg, threads=1)
-        f2 = fit(d, cfg, threads=4)
-        x = np.array([1.0])
-        assert np.array_equal(forest_weights(f1, x).dense(), forest_weights(f2, x).dense())
+        d = toy_dataset(n=150, seed=8, model="aft-multi")
+        cfg = ForestConfig(min_node_size=4, n_trees=12, mtry=2, seed=9)
+        stores = [fit(d, cfg, threads=k)._nodes for k in (1, 2, 4)]
+        for key in ("feature", "threshold", "left", "right", "roots", "row_ptr", "rows"):
+            first = getattr(stores[0], key)
+            for other in stores[1:]:
+                assert getattr(other, key).dtype == first.dtype
+                assert getattr(other, key).tobytes() == first.tobytes(), key
+
+
+def tie_heavy(model, n, seed):
+    """A draw with x and y rounded to one decimal, x zero on the first tenth of rows and -0.0 on the first thirtieth."""
+    d = simulate(SimConfig(model=model, n=n, censor_rate_param=0.1, seed=seed))
+    x = np.round(d.features, 1)
+    x[: n // 10] = 0.0
+    x[: n // 30] = -0.0
+    return uncensored(x, np.round(d.response, 1))
+
+
+def _corpus():
+    for model in ("aft1d", "sine1d", "aft-multi", "complex"):
+        plain = toy_dataset(n=300, seed=41, model=model)
+        yield pytest.param(plain, ForestConfig(min_node_size=5, n_trees=6, seed=42), id=model)
+        ties = tie_heavy(model, 300, 43)
+        cfg = ForestConfig(min_node_size=1, n_trees=4, mtry=1, seed=44)
+        yield pytest.param(ties, cfg, id=f"{model}-ties-mtry1")
+        cfg = ForestConfig(min_node_size=2, n_trees=3, mtry=ties.p, bootstrap=False, seed=45)
+        yield pytest.param(ties, cfg, id=f"{model}-ties-full-nobag")
+
+
+class TestRankSplits:
+    """The rank-coded grower against the float-sort reference in _oracles."""
+
+    @pytest.mark.parametrize("data,cfg", list(_corpus()))
+    def test_trees_equal_float_sort_reference(self, data, cfg):
+        mtry = cfg.mtry or math.ceil(data.p / 3)
+        forest = fit(data, cfg)
+        assert differing_trees(forest.trees, reference_trees(data.features, data.response, cfg, mtry)) == []
+
+    def test_wide_ranks_tree_equals_reference(self):
+        d = toy_dataset(n=70_000, seed=46)
+        assert _ranks(d.features).dtype == np.uint32
+        cfg = ForestConfig(min_node_size=3000, n_trees=1, seed=47)
+        forest = fit(d, cfg)
+        assert differing_trees(forest.trees, reference_trees(d.features, d.response, cfg, 1)) == []
+
+    @pytest.mark.parametrize("distinct,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                                (65_536, np.uint16), (65_537, np.uint32)])
+    def test_rank_dtype_holds_every_rank(self, distinct, dtype):
+        col = np.arange(distinct, dtype=np.float64)[::-1]
+        ranks = _ranks(np.column_stack([col, np.zeros(distinct)]))
+        assert ranks.dtype == dtype and ranks.shape == (2, distinct)
+        assert np.array_equal(ranks[0], np.arange(distinct)[::-1]) and not ranks[1].any()
+
+    def test_signed_zeros_and_ties_share_a_rank(self):
+        ranks = _ranks(np.array([[0.5], [-0.0], [0.0], [-1.0], [0.5], [-0.0]]))
+        assert ranks.tolist() == [[2, 1, 1, 0, 2, 1]]
 
 
 class TestWeightVector:
