@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 
 class DataError(ValueError):
@@ -214,6 +213,10 @@ def true_quantile(model, x, tau, noise_sd=0.3):
             xa = xa.T
         else:
             raise DataError(f"model {model!r} expects {p} feature(s)")
+    # scipy's ndtri, imported here so the CLI's start-up never loads scipy;
+    # statistics.NormalDist().inv_cdf differs from it in the last bits at some taus.
+    from scipy.special import ndtri
+
     z = noise_sd * ndtri(tau)
     loc = _signal(model, xa)
     q = np.exp(loc + z) if model in ("aft1d", "aft-multi") else loc + z
@@ -314,18 +317,14 @@ def read_header(path, reader):
     return header
 
 
-def _read_header(path):
-    with open_utf8(path) as fh:
-        return read_header(path, csv.reader(fh))
-
-
 def detect_schema(path, response="y", event="delta", latent="latent"):
     """Schema for a headered CSV, treating every other column as a feature.
 
     The latent column is optional and is picked up when present; feature
     order follows the header.
     """
-    header = _read_header(path)
+    with open_utf8(path) as fh:
+        header = read_header(path, csv.reader(fh))
     for name in (response, event):
         if name not in header:
             raise DataError(f"{path}: missing column {name!r}")
@@ -348,23 +347,22 @@ def load_features_csv(path, names=None, n_features=None):
     every column except y/delta/latent is used, which must then match
     ``n_features`` if given. Returns (matrix, column names).
     """
-    header = _read_header(path)
-    if names and all(n in header for n in names):
-        chosen = list(names)
-    else:
-        chosen = [h for h in header if h not in {"y", "delta", "latent"}]
-        if names and len(chosen) != len(names):
-            raise DataError(
-                f"{path}: feature columns do not match the model "
-                f"(expected {list(names)}, found {chosen})"
-            )
-    if n_features is not None and len(chosen) != n_features:
-        raise DataError(f"{path}: expected {n_features} feature columns, found {len(chosen)}")
-    idx = [header.index(c) for c in chosen]
-    rows = []
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = read_header(path, reader)
+        if names and all(n in header for n in names):
+            chosen = list(names)
+        else:
+            chosen = [h for h in header if h not in {"y", "delta", "latent"}]
+            if names and len(chosen) != len(names):
+                raise DataError(
+                    f"{path}: feature columns do not match the model "
+                    f"(expected {list(names)}, found {chosen})"
+                )
+        if n_features is not None and len(chosen) != n_features:
+            raise DataError(f"{path}: expected {n_features} feature columns, found {len(chosen)}")
+        idx = [header.index(c) for c in chosen]
+        rows = []
         for lineno, rec in enumerate(reader, start=2):
             if not rec or (len(rec) == 1 and not rec[0].strip()):
                 continue

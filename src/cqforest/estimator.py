@@ -209,7 +209,9 @@ def predict_batch(forest, data, xmat, cfg, threads=1):
 
     Returns a list (one entry per row) of lists of QuantilePrediction in
     cfg.taus order. Weights for all rows are extracted in one pass over
-    the forest; per-point root finding then parallelizes trivially.
+    the forest; root finding then runs point by point. ``threads > 1``
+    spreads the points over a thread pool, which gives the same results
+    but is slower than one thread, since the work holds the GIL.
     """
     xmat = np.atleast_2d(np.asarray(xmat, dtype=np.float64))
     wmat = weight_matrix(forest, xmat)

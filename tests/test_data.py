@@ -1,8 +1,11 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from cqforest import data as data_module
 from cqforest.data import (
     CsvSchema,
     DataError,
@@ -137,6 +140,21 @@ class TestTrueQuantile:
         with pytest.raises(DataError):
             true_quantile("aft1d", 1.0, 1.0)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_bitwise_scipy_ndtri(self, model):
+        # at these taus the stdlib inverse normal differs from scipy's ndtri in the last bits
+        x = np.random.default_rng(4).uniform(0.0, 2.0, size=(40, model_dim(model)))
+        signal = data_module._signal(model, x)
+        link = np.exp if model in ("aft1d", "aft-multi") else (lambda v: v)
+        stdlib_differs = False
+        for tau in (0.1, 0.9, 0.025, 0.975):
+            expected = link(signal + 0.3 * ndtri(tau))
+            assert (true_quantile(model, x, tau) == expected).all()
+            stdlib = link(signal + 0.3 * NormalDist().inv_cdf(tau))
+            stdlib_differs |= not np.array_equal(stdlib, expected)
+        # the pin has teeth: swapping in the stdlib quantile changes some bits on this grid
+        assert stdlib_differs
+
 
 class TestCsv:
     def test_round_trip_bitwise(self, tmp_path):
@@ -171,6 +189,34 @@ class TestCsv:
         assert names2 == ["x1", "x2"] and np.array_equal(mat2, mat)
         with pytest.raises(DataError):
             load_features_csv(path, n_features=3)
+
+    @pytest.mark.parametrize(
+        "text, n_features, error",
+        [
+            ("x1,x2,y\n1.0,2.0,9\n", 2, None),
+            ("x1,x2,y\n1.0,2.0,9\n", 3, "expected 3 feature columns"),
+            ("x1,x2\n", None, "no data rows"),
+            ("", None, "empty file"),
+        ],
+        ids=["ok", "wrong-width", "no-rows", "empty"],
+    )
+    def test_load_features_csv_opens_file_once(self, tmp_path, monkeypatch, text, n_features, error):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        opened = []
+        real = data_module.open_utf8
+
+        def counting(p):
+            opened.append(p)
+            return real(p)
+
+        monkeypatch.setattr(data_module, "open_utf8", counting)
+        if error is None:
+            load_features_csv(path, n_features=n_features)
+        else:
+            with pytest.raises(DataError, match=error):
+                load_features_csv(path, n_features=n_features)
+        assert opened == [path]
 
     def test_error_messages(self, tmp_path):
         schema = CsvSchema(features=("x1",))
