@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, SimConfig, check_taus, open_utf8, simulate, true_quantile
-from .estimator import CqrConfig, _select_root, predict_with_weights
-from .forest import ForestConfig, WeightVector, fit, quantile_from_weights, support_grid, weight_matrix
+from .data import DataError, Dataset, SimConfig, check_taus, check_threads, open_utf8, simulate, true_quantile
+from .estimator import CqrConfig, _qhat_table, _weighted_quantile_table, predict_with_weights
+from .forest import ForestConfig, WeightVector, _points, _weight_rows, fit, quantile_from_weights
 from .metrics import c_index, quantile_losses
-from .survival import km
 
 SCENARIOS = (
     "illustrative41",
@@ -129,9 +128,9 @@ def illustrative_roots(n, seed, tau=0.5):
 
     root_u1 = quantile_from_weights(w, t, tau)
 
-    cands, above = support_grid(w, y)
-    g = km(y, event).evaluate(cands)
-    root_u2 = float(cands[_select_root((1.0 - tau) * g - above)])
+    # km-knn over all n rows is plain Kaplan-Meier on the whole sample
+    observed = Dataset(features=np.zeros((n, 1)), response=y, event=event)
+    root_u2 = predict_with_weights([0.0], w, observed, CqrConfig(taus=(tau,), survival="km-knn", knn=n))[0].q_hat
     return root_u1, root_u2
 
 
@@ -159,19 +158,8 @@ def _oracle_dataset(train):
 
 
 def _weights(forest, xmat):
-    """Forest weight vectors at every row of xmat."""
-    wmat = weight_matrix(forest, xmat)
-    return [WeightVector.from_dense(wmat[i]) for i in range(wmat.shape[0])]
-
-
-def _crf_qhat(xmat, weights, train, cfg):
-    """(n_test, len(cfg.taus)) censoring-adjusted quantiles from precomputed weights."""
-    return np.array([[p.q_hat for p in predict_with_weights(x, w, train, cfg)] for x, w in zip(xmat, weights)])
-
-
-def _qrf_qhat(weights, response, taus):
-    """(n_test, len(taus)) plain weighted quantiles of response, knowing nothing of censoring."""
-    return np.array([quantile_from_weights(w, response, taus) for w in weights])
+    """Sparse (index, value) forest-weight rows at every row of xmat."""
+    return list(_weight_rows(forest, _points(xmat, forest.n_features)))
 
 
 def _emit(rows, scenario, method, tau, node_size, rep, metric, value):
@@ -213,14 +201,15 @@ def _run_model_scenario(spec, model, rows, threads):
         for m in _node_sizes(spec):
             fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
             weights = _weights(fit(train, fcfg, threads=threads), test.features)
-            tables = [(label, _crf_qhat(test.features, weights, train, cfg)) for label, cfg in _crf_variants(spec, m)]
+            tables = [(label, _qhat_table(weights, train, cfg)) for label, cfg in _crf_variants(spec, m)]
             # plain weighted quantiles: of the observed response, and of the
             # latent response under a forest refitted on it
             if plain and "qrf" in spec.methods:
-                tables.append(("qrf", _qrf_qhat(weights, train.response, spec.taus)))
+                tables.append(("qrf", _weighted_quantile_table(weights, train.response, spec.taus)))
             if plain and "qrf_oracle" in spec.methods:
                 oracle = fit(_oracle_dataset(train), fcfg, threads=threads)
-                tables.append(("qrf_oracle", _qrf_qhat(_weights(oracle, test.features), oracle.response, spec.taus)))
+                oracle_q = _weighted_quantile_table(_weights(oracle, test.features), oracle.response, spec.taus)
+                tables.append(("qrf_oracle", oracle_q))
             for label, q_hat in tables:
                 for j, tau in enumerate(spec.taus):
                     _emit_scores(rows, spec.scenario, label, tau, m, rep, test, true_q[tau], q_hat[:, j])
@@ -245,7 +234,7 @@ def _run_coverage(spec, rows, threads, level=0.95):
         train, test = _simulate_pair(model, spec, rep, rate)
         fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
         weights = _weights(fit(train, fcfg, threads=threads), test.features)
-        lo, hi = _crf_qhat(test.features, weights, train, cfg).T
+        lo, hi = _qhat_table(weights, train, cfg).T
         covered = (test.latent >= lo) & (test.latent <= hi)
         _emit(rows, spec.scenario, "crf", level, m, rep, "coverage", covered.mean())
         _emit(rows, spec.scenario, "crf", level, m, rep, "interval_width", (hi - lo).mean())
@@ -267,7 +256,7 @@ def _run_runtime(spec, rows, threads):
             fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2, n))
             forest = fit(train, fcfg, threads=threads)
             start = time.perf_counter()
-            _crf_qhat(test.features, _weights(forest, test.features), train, cfg)
+            _qhat_table(_weights(forest, test.features), train, cfg)
             elapsed = time.perf_counter() - start
             _emit(rows, spec.scenario, "crf", 0.5, m, rep, "seconds_per_prediction", elapsed / test.n)
 
@@ -278,6 +267,7 @@ def run(spec, out_dir, threads=1):
     Returns the two file paths. Tables are deterministic given (spec,
     seed), runtime measurements excepted.
     """
+    check_threads(threads)
     rows = []
     if spec.scenario == "illustrative41":
         _run_illustrative(spec, rows)

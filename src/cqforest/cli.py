@@ -16,7 +16,6 @@ from .data import (
     MODELS,
     DataError,
     SimConfig,
-    detect_schema,
     load_csv,
     load_features_csv,
     open_utf8,
@@ -61,19 +60,17 @@ def _cmd_simulate(args):
 
 
 def _cmd_fit(args):
-    schema = detect_schema(args.data)
-    data = load_csv(args.data, schema)
+    data = load_csv(args.data)
     node_size = args.node_size if args.node_size is not None else max(1, data.n // 10)
     cfg = ForestConfig(min_node_size=node_size, n_trees=args.trees, mtry=args.mtry, seed=args.seed)
-    forest = fit(data, cfg, threads=args.threads, feature_names=schema.features)
+    forest = fit(data, cfg, threads=args.threads, feature_names=data.feature_names)
     save_forest(forest, args.model_out)
     print(f"fitted {cfg.n_trees} trees on {data.n} rows (node size {node_size}); model at {args.model_out}")
     return 0
 
 
 def _cmd_predict(args):
-    schema = detect_schema(args.data)
-    data = load_csv(args.data, schema)
+    data = load_csv(args.data)
     forest = load_forest(args.model, data)
     xmat, _ = load_features_csv(args.features, names=forest.feature_names, n_features=forest.n_features)
     mode, k = args.survival
@@ -116,7 +113,7 @@ def _read_predictions(path):
 
 def _cmd_evaluate(args):
     table = _read_predictions(args.pred)
-    truth = load_csv(args.truth, detect_schema(args.truth))
+    truth = load_csv(args.truth)
     taus = args.taus if args.taus is not None else tuple(sorted(table))
     truth_t = truth.latent if truth.latent is not None else truth.response
     reports = []

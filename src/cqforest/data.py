@@ -9,7 +9,7 @@ conditional quantiles are provided for benchmarking.
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,12 @@ def check_taus(taus):
     return taus
 
 
+def check_threads(threads):
+    """DataError unless the thread count is at least 1."""
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads!r}")
+
+
 MODELS = ("aft1d", "sine1d", "aft-multi", "complex")
 
 # Fixed coefficient vector of the multi-dimensional log-linear model.
@@ -65,12 +71,15 @@ class Dataset:
         True where the latent time was observed (t <= c).
     latent : ndarray of shape (n,), optional
         True survival times; only available for simulated or oracle data.
+    feature_names : tuple of str, optional
+        Names of the feature columns, in order, when read from a file.
     """
 
     features: np.ndarray
     response: np.ndarray
     event: np.ndarray
     latent: np.ndarray | None = None
+    feature_names: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=np.float64)
@@ -98,6 +107,11 @@ class Dataset:
             if not np.array_equal(y[ev], lat[ev]) or not (y[~ev] < lat[~ev]).all():
                 raise DataError("response/latent/event are mutually inconsistent")
             lat = _freeze(lat)
+        if self.feature_names is not None:
+            names = tuple(self.feature_names)
+            if len(names) != x.shape[1] or not all(isinstance(v, str) for v in names):
+                raise DataError("feature_names must be one string per feature column")
+            object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "features", _freeze(x))
         object.__setattr__(self, "response", _freeze(y))
         object.__setattr__(self, "event", _freeze(ev))
@@ -243,16 +257,21 @@ def open_utf8(path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_csv(path, schema):
+def load_csv(path, schema=None):
     """Read a UTF-8, comma-separated, headered file into a Dataset.
 
     Rows must be complete and numeric; the event column only accepts 0/1.
+    With no ``schema``, the schema is detected from the file's own header
+    as ``detect_schema`` does, in the same read. The Dataset carries the
+    schema's feature names.
     """
-    if not schema.features:
+    if schema is not None and not schema.features:
         raise DataError("schema must name at least one feature column")
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = read_header(path, reader)
+        if schema is None:
+            schema = _header_schema(path, header)
         cols = {}
         wanted = [schema.response, schema.event, *schema.features]
         if schema.latent:
@@ -298,7 +317,8 @@ def load_csv(path, schema):
     event = np.asarray(column(schema.event, kind="event"))
     latent = np.asarray(column(schema.latent)) if schema.latent else None
     try:
-        return Dataset(features=features, response=response, event=event, latent=latent)
+        return Dataset(features=features, response=response, event=event, latent=latent,
+                       feature_names=tuple(schema.features))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -325,6 +345,10 @@ def detect_schema(path, response="y", event="delta", latent="latent"):
     """
     with open_utf8(path) as fh:
         header = read_header(path, csv.reader(fh))
+    return _header_schema(path, header, response, event, latent)
+
+
+def _header_schema(path, header, response="y", event="delta", latent="latent"):
     for name in (response, event):
         if name not in header:
             raise DataError(f"{path}: missing column {name!r}")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import DataError, check_tau
+from .data import DataError, check_tau, check_threads
 
 
 @dataclass(frozen=True)
@@ -319,6 +319,7 @@ def fit(data, cfg, threads=1, feature_names=None):
     ``cfg.seed`` and the tree index, so results do not depend on thread
     scheduling. Censoring flags play no role here.
     """
+    check_threads(threads)
     if cfg.min_node_size > data.n:
         raise DataError("min_node_size exceeds the number of training rows")
     mtry = cfg.mtry if cfg.mtry is not None else math.ceil(data.p / 3)
@@ -388,15 +389,18 @@ def _leaf_mass(rows, size, b, n):
     return np.bincount(rows, weights=np.repeat(1.0 / (b * size), size), minlength=n)
 
 
-def _weight_rows(nodes, xmat, b, n):
-    """Dense weights at each row of xmat, one length-n array per point.
+def _weight_rows(forest, xmat):
+    """Sparse weights at each row of xmat, one (index, value) pair per point.
 
     Each point gathers the in-bag rows of its leaf in every tree, in
     tree order and leaf-row order within a leaf (the order a tree-by-tree
-    scatter adds them in), and sums them with one ``_leaf_mass``. Points
-    are walked in blocks of about ``_WALK_LANES`` lanes, so the walk's
-    temporaries stay near 1 MiB whatever the batch size.
+    scatter adds them in), and sums them with one ``_leaf_mass``; the
+    indices are that sum's nonzero entries, ascending. Points are walked
+    in blocks of about ``_WALK_LANES`` lanes, so the walk's temporaries
+    stay near 1 MiB whatever the batch size. ``xmat`` must already have
+    passed ``_points``.
     """
+    nodes, b, n = forest._nodes, len(forest.trees), forest.n_train
     block = max(1, _WALK_LANES // nodes.roots.size)
     for lo in range(0, xmat.shape[0], block):
         leaves = _descend(nodes, nodes.roots, xmat[lo : lo + block]).reshape(-1, nodes.roots.size)
@@ -404,7 +408,9 @@ def _weight_rows(nodes, xmat, b, n):
             start = nodes.row_ptr[point_leaves]
             size = nodes.row_ptr[point_leaves + 1] - start
             gather = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
-            yield _leaf_mass(nodes.rows[gather], size, b, n)
+            mass = _leaf_mass(nodes.rows[gather], size, b, n)
+            index = np.flatnonzero(mass)
+            yield index, mass[index]
 
 
 def _points(xmat, p):
@@ -432,16 +438,17 @@ def tree_weights(tree, x, n):
 def weight_matrix(forest, xmat):
     """Dense (n_test, n_train) forest-weight matrix for a batch of points."""
     xmat = _points(xmat, forest.n_features)
-    out = np.empty((xmat.shape[0], forest.n_train))
-    for i, row in enumerate(_weight_rows(forest._nodes, xmat, len(forest.trees), forest.n_train)):
-        out[i] = row
+    out = np.zeros((xmat.shape[0], forest.n_train))
+    for i, (index, value) in enumerate(_weight_rows(forest, xmat)):
+        out[i, index] = value
     return out
 
 
 def forest_weights(forest, x):
     """Average of the per-tree weight vectors at x (sparse result)."""
-    dense = weight_matrix(forest, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-    return WeightVector.from_dense(dense)
+    xmat = _points(np.asarray(x, dtype=np.float64).reshape(1, -1), forest.n_features)
+    index, value = next(_weight_rows(forest, xmat))
+    return WeightVector(index, value, forest.n_train)
 
 
 def support_grid(w, y):

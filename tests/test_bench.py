@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestRun:
         spec = ExperimentSpec(scenario="aft1d", **TINY)
         r1, _ = run(spec, tmp_path / "a")
         r2, _ = run(spec, tmp_path / "b")
-        assert open(r1, "rb").read() == open(r2, "rb").read()
+        assert Path(r1).read_bytes() == Path(r2).read_bytes()
 
     @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s != "runtime-scaling"])
     def test_scenario_smoke(self, tmp_path, scenario):

@@ -1,6 +1,7 @@
 import csv
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +216,54 @@ def test_repeated_column_name_exits_3(workspace, tmp_path, capsys, case, good, r
     bad = with_repeated_column(workspace / good, tmp_path / "bad.csv", rows)
     assert main(argv.format(bad=bad, ws=workspace, tmp=tmp_path).split()) == 3
     assert f"{bad}: column 'x1' appears more than once" in capsys.readouterr().err
+
+
+THREADED = {
+    "fit": "fit --data {ws}/train.csv --trees 2 --model-out {tmp}/m.bin --threads {threads}",
+    "predict": "predict --model {ws}/model.json --data {ws}/train.csv --features {ws}/points.csv --taus 0.5 "
+               "--out {tmp}/p.csv --threads {threads}",
+    "bench": "bench --spec {tmp}/tiny.spec --out-dir {tmp}/out --threads {threads}",
+}
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("command", sorted(THREADED))
+def test_threads_below_one_exit_3(workspace, tmp_path, capsys, command, threads):
+    (tmp_path / "tiny.spec").write_text("scenario = aft1d\nreplications = 1\nn_train = 20\nn_test = 4\ntrees = 2\n")
+    argv = THREADED[command].format(ws=workspace, tmp=tmp_path, threads=threads).split()
+    assert main(argv) == 3
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("m.bin")) and not any(tmp_path.glob("p.csv")) and not any(tmp_path.glob("out"))
+
+
+# (command, argv, the data CSVs it reads)
+DATA_READS = [
+    ("fit", "fit --data {ws}/train.csv --trees 2 --model-out {tmp}/m.bin", ["train.csv"]),
+    ("predict", "predict --model {ws}/model.json --data {ws}/train.csv --features {ws}/points.csv --taus 0.5 "
+                "--out {tmp}/p.csv", ["train.csv", "points.csv"]),
+    ("evaluate", "evaluate --pred {ws}/pred.csv --truth {tmp}/truth.csv --out {tmp}/e.csv", ["pred.csv", "truth.csv"]),
+]
+
+
+@pytest.mark.parametrize("command,argv,reads", DATA_READS, ids=[c[0] for c in DATA_READS])
+def test_each_data_csv_is_opened_once(workspace, tmp_path, monkeypatch, command, argv, reads):
+    import cqforest.cli as cli_module
+    import cqforest.data as data_module
+
+    # evaluate needs truth rows that line up with the 3 predicted rows
+    lines = (workspace / "train.csv").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "truth.csv").write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
+    opened = []
+    real = data_module.open_utf8
+
+    def counting(path):
+        opened.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(data_module, "open_utf8", counting)
+    monkeypatch.setattr(cli_module, "open_utf8", counting)
+    assert main(argv.format(ws=workspace, tmp=tmp_path).split()) == 0
+    assert sorted(opened) == sorted(reads)
 
 
 def read_model(path):
