@@ -16,6 +16,7 @@ from .data import (
     MODELS,
     DataError,
     SimConfig,
+    _read_dataset,
     load_csv,
     load_features_csv,
     open_utf8,
@@ -60,10 +61,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_fit(args):
-    data = load_csv(args.data)
+    schema, data = _read_dataset(args.data)
     node_size = args.node_size if args.node_size is not None else max(1, data.n // 10)
     cfg = ForestConfig(min_node_size=node_size, n_trees=args.trees, mtry=args.mtry, seed=args.seed)
-    forest = fit(data, cfg, threads=args.threads, feature_names=data.feature_names)
+    forest = fit(data, cfg, threads=args.threads, feature_names=schema.features)
     save_forest(forest, args.model_out)
     print(f"fitted {cfg.n_trees} trees on {data.n} rows (node size {node_size}); model at {args.model_out}")
     return 0

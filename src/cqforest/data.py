@@ -9,7 +9,7 @@ conditional quantiles are provided for benchmarking.
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +71,12 @@ class Dataset:
         True where the latent time was observed (t <= c).
     latent : ndarray of shape (n,), optional
         True survival times; only available for simulated or oracle data.
-    feature_names : tuple of str, optional
-        Names of the feature columns, in order, when read from a file.
     """
 
     features: np.ndarray
     response: np.ndarray
     event: np.ndarray
     latent: np.ndarray | None = None
-    feature_names: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=np.float64)
@@ -107,11 +104,6 @@ class Dataset:
             if not np.array_equal(y[ev], lat[ev]) or not (y[~ev] < lat[~ev]).all():
                 raise DataError("response/latent/event are mutually inconsistent")
             lat = _freeze(lat)
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != x.shape[1] or not all(isinstance(v, str) for v in names):
-                raise DataError("feature_names must be one string per feature column")
-            object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "features", _freeze(x))
         object.__setattr__(self, "response", _freeze(y))
         object.__setattr__(self, "event", _freeze(ev))
@@ -262,9 +254,13 @@ def load_csv(path, schema=None):
 
     Rows must be complete and numeric; the event column only accepts 0/1.
     With no ``schema``, the schema is detected from the file's own header
-    as ``detect_schema`` does, in the same read. The Dataset carries the
-    schema's feature names.
+    as ``detect_schema`` does, in the same read.
     """
+    return _read_dataset(path, schema)[1]
+
+
+def _read_dataset(path, schema=None):
+    """``load_csv``, returning ``(schema, dataset)`` with the schema it used."""
     if schema is not None and not schema.features:
         raise DataError("schema must name at least one feature column")
     with open_utf8(path) as fh:
@@ -317,10 +313,10 @@ def load_csv(path, schema=None):
     event = np.asarray(column(schema.event, kind="event"))
     latent = np.asarray(column(schema.latent)) if schema.latent else None
     try:
-        return Dataset(features=features, response=response, event=event, latent=latent,
-                       feature_names=tuple(schema.features))
+        dataset = Dataset(features=features, response=response, event=event, latent=latent)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    return schema, dataset
 
 
 def read_header(path, reader):

@@ -1,15 +1,20 @@
 """Brute-force reference implementations used to pin expected test values.
 
-Everything here is a direct, naive transcription of the defining formulas
+Most of these are direct, naive transcriptions of the defining formulas
 (plain Python loops, no shared code with the package). Slow on purpose.
 Two are the package's own former implementations, kept as the reference
 for the faster ones that replaced them: the float-sort tree grower
-(``grow_tree``) and the per-point root pass (``root_pass``).
+(``grow_tree``) and the per-point root pass (``root_pass``), which calls
+the package's public per-point functions but nothing of the block pass.
 """
 
 import math
 
 import numpy as np
+
+from cqforest.estimator import candidate_set
+from cqforest.forest import mass_above
+from cqforest.survival import beran_rf, km_knn
 
 
 def pinball_loss(u, tau):
@@ -260,83 +265,28 @@ def differing_trees(trees, refs):
     return out
 
 
-def _product_limit_curve(ys, factors):
-    """(jump_times, values) of a step curve from per-row factors at ascending times."""
-    cum = np.cumprod(factors)
-    last = np.append(np.flatnonzero(np.diff(ys) > 0), ys.size - 1)
-    vals = np.minimum(cum[last], 1.0)
-    jt = ys[last]
-    keep = vals != np.append(1.0, vals[:-1])
-    return jt[keep], vals[keep]
-
-
-def _curve_at(curve, q):
-    jump_times, values = curve
-    return np.append(1.0, values)[np.searchsorted(jump_times, q, side="right")]
-
-
-def _weighted_curve(y, event, weights):
-    """Weighted product-limit censoring curve: events first within ties, risk counted at a tie's start."""
-    order = np.lexsort((~event, y))
-    ys, evs = y[order], event[order]
-    u = weights[order] / weights.max()
-    suffix = np.append(np.cumsum(u[::-1])[::-1], 0.0)
-    first = np.append(0, np.flatnonzero(np.diff(ys) > 0) + 1)
-    gid = np.cumsum(np.append(0, (np.diff(ys) > 0).astype(np.int64)))
-    risk = suffix[first[gid]]
-    return _product_limit_curve(ys, np.where(evs, 1.0, 1.0 - u / risk))
-
-
-def _count_curve(y, event):
-    """Count-based Kaplan-Meier censoring curve."""
-    order = np.lexsort((~event, y))
-    ys, evs = y[order], event[order]
-    risk = ys.size - np.searchsorted(ys, ys, side="left")
-    return _product_limit_curve(ys, np.where(evs, 1.0, 1.0 - 1.0 / risk))
-
-
-def _top_rows(index, value, k):
-    """The k highest-weight rows, ties to the lower index, padded with the lowest zero-weight rows."""
-    ranked = index[np.argsort(-value, kind="stable")][:k]
-    n_zero = k - ranked.size
-    if n_zero:
-        pad = np.setdiff1d(np.arange(k), index, assume_unique=True)[:n_zero]
-        ranked = np.concatenate([ranked, pad])
-    return np.sort(ranked)
-
-
-def root_pass(index, value, y, event, taus, survival="beran-rf", knn=None, search_radius=None):
+def root_pass(w, data, taus, survival="beran-rf", knn=None, search_radius=None):
     """The per-point root of S(q; tau) at every tau, solved one point at a time.
 
-    ``index``/``value`` are one point's sparse weights (ascending rows,
-    positive weights). This is the solver the package used before it
-    solved blocks of points: candidates from ``np.unique``, mass above
-    from one stable-sorted suffix sum, the censoring curve as a step
-    function with its jumps, then the smallest candidate with S >= 0 (else
-    the smallest argmin |S|) clamped so that quantiles do not cross.
-    Returns one (q_hat, residual, candidate_count, degenerate_tail) tuple
-    per tau; raises ValueError when no candidate lies inside the radius.
+    ``w`` is one point's ``WeightVector``. This is the solver the package
+    used before it solved blocks of points, built from the public
+    per-point functions the block pass no longer calls: ``candidate_set``,
+    ``mass_above``, ``beran_rf`` or ``km_knn`` and ``SurvivalCurve.evaluate``.
+    The root selector and the non-crossing clamp are its former private
+    code: the smallest candidate with S >= 0 (else the smallest argmin
+    |S|), never below the previous tau's. Returns one (q_hat, residual,
+    candidate_count, degenerate_tail) tuple per tau; raises ValueError
+    when no candidate lies inside the radius.
     """
-    y = np.asarray(y, dtype=np.float64)
-    event = np.asarray(event, dtype=bool)
-    index = np.asarray(index, dtype=np.int64)
-    value = np.asarray(value, dtype=np.float64)
-    rows = index if survival == "beran-rf" else _top_rows(index, value, knn)
-    cands = np.unique(y[rows])
-    ys = y[index]
-    order = np.argsort(ys, kind="stable")
-    suffix = np.append(np.cumsum(value[order][::-1])[::-1], 0.0)
-    above = suffix[np.searchsorted(ys[order], cands, side="right")]
+    cands = candidate_set(w, data.response, survival, knn)
+    above = mass_above(w, data.response, cands)
     if search_radius is not None:
         keep = np.abs(cands) <= search_radius
         if not keep.any():
             raise ValueError("no candidates inside the search radius")
         cands, above = cands[keep], above[keep]
-    if survival == "beran-rf":
-        curve = _weighted_curve(ys, event[index], value)
-    else:
-        curve = _count_curve(y[rows], event[rows])
-    g = _curve_at(curve, cands)
+    curve = beran_rf(data, w) if survival == "beran-rf" else km_knn(data, w, knn)
+    g = curve.evaluate(cands)
     out = []
     prev = 0
     for tau in taus:

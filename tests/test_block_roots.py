@@ -40,7 +40,7 @@ def block_table(rows, data, cfg):
 
 def oracle_table(rows, data, cfg):
     return np.array(
-        [root_pass(i, v, data.response, data.event, cfg.taus, cfg.survival, cfg.knn, cfg.search_radius)
+        [root_pass(WeightVector(i, v, data.n), data, cfg.taus, cfg.survival, cfg.knn, cfg.search_radius)
          for i, v in rows],
         dtype=np.float64,
     )
