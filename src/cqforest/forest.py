@@ -141,26 +141,6 @@ class _Nodes:
     rows: np.ndarray
 
 
-def _pack(trees, n_trees, n):
-    """One flat store for ``n_trees`` trees of ``n`` in-bag rows each.
-
-    ``trees`` may be lazy: each tree's leaf rows are copied into the
-    store as the tree arrives and its own arrays are then dropped, so
-    the forest's leaf rows are never held twice. Rows are int32, as in
-    the model file.
-    """
-    rows = np.empty(n_trees * n, dtype=np.int32)
-    kept, sizes = [], []
-    for t, tree in enumerate(trees):
-        np.concatenate([r for r in tree.leaf_rows if r is not None], out=rows[t * n : (t + 1) * n])
-        sizes += [0 if r is None else len(r) for r in tree.leaf_rows]
-        kept.append((tree.feature, tree.threshold, tree.left, tree.right))
-    features, thresholds, lefts, rights = zip(*kept)
-    roots = np.cumsum([0] + [f.size for f in features[:-1]])
-    feature, threshold, left, right = map(np.concatenate, (features, thresholds, lefts, rights))
-    return _Nodes(feature, threshold, left, right, roots=roots, row_ptr=np.cumsum([0] + sizes), rows=rows)
-
-
 def _views(nodes):
     """Every tree of the store as a ``Tree`` whose arrays are views into it."""
     bounds = np.append(nodes.roots, nodes.feature.size).tolist()
@@ -178,8 +158,8 @@ def _views(nodes):
 class Forest:
     """A fitted forest bound to its training data.
 
-    ``_nodes`` is the flat store holding every tree (built by ``_pack``
-    in ``fit``, read back whole by ``load_forest``), so the forest is
+    ``_nodes`` is the flat store holding every tree (filled group by
+    group in ``fit``, read back whole by ``load_forest``), so the forest is
     held once and walked in one pass; ``trees`` is a list of per-tree
     views into it.
     """
@@ -197,100 +177,200 @@ class Forest:
         self.trees = _views(self._nodes)
 
 
-def _pure(y):
-    return bool((y == y[0]).all())
+# cells (nodes x mtry x padded width) scored in one pass: enough to spread
+# a step's numpy calls over many small nodes, few enough that the pass's
+# temporaries stay well under 1 MiB; a wider node is scored alone, unpadded
+_CHUNK_CELLS = 1 << 14
+# cells of padding worth one more pass: a node pads to its chunk's width
+# only while that costs less than scoring it in a pass of its own
+_PAD_CELLS = 1 << 9
+# bytes of bag store held by one group of trees
+_GROUP_BYTES = 1 << 20
 
 
-def _best_split(x, bag, rb, yb, rows, feats, min_child):
-    """Best (feature, cut) by variance reduction, or None.
+def _chunks(nodes, mtry):
+    """Runs of ``nodes`` (largest first) to score in one padded pass each."""
+    chunk = []
+    for node in nodes:
+        if chunk and ((len(chunk) + 1) * mtry * chunk[0][0] > _CHUNK_CELLS
+                      or (chunk[0][0] - node[0]) * mtry > _PAD_CELLS):
+            yield chunk
+            chunk = []
+        chunk.append(node)
+    if chunk:
+        yield chunk
 
-    Maximizes sum_L^2/n_L + sum_R^2/n_R (equivalent to minimizing child
-    SSE); ties resolve to the lowest feature index, then the lowest
-    threshold. Candidate cuts keep both children >= min_child rows and
-    fall between distinct sorted feature values. Rows are ordered and
-    compared by their bag ranks ``rb``; the float x values (of bag rows
-    ``bag``) are read only at the chosen cut, to set the threshold.
+
+class _Group:
+    """Trees grown in lockstep: each step splits the next node of every tree.
+
+    Every tree keeps its own rng and depth-first stack, so it draws its
+    bag and its feature subsets, and numbers its nodes, exactly as if it
+    were grown alone. ``bag`` holds the trees' bags back to back; a node
+    is a range of its tree's bag, and a split writes the range back sorted
+    by the chosen feature, so the left child is its first ``cut`` rows and
+    the right child the rest. A step's nodes are sorted by size and
+    scored a chunk at a time, padded on the right to the chunk's widest.
+    ``ranks`` and ``y`` carry a pad entry at row n: its rank is the
+    dtype's largest, which a stable sort keeps after every real rank, and
+    its response is 0.0.
     """
-    size = rows.size
-    lo, hi = min_child, size - min_child
-    if lo > hi:
-        return None
-    total = yb[rows].sum()
-    best_gain = -math.inf
-    best = None
-    for f in feats:
-        rv = rb[f][rows]
-        order = rv.argsort(kind="stable")
-        rs = rv[order]
-        ok = rs[lo : hi + 1] > rs[lo - 1 : hi]
-        if not ok.any():
-            continue
-        pos = ok.nonzero()[0] + lo
-        csum = yb[rows[order]].cumsum()
-        left_sum = csum[pos - 1]
-        proxy = left_sum * left_sum / pos + (total - left_sum) * (total - left_sum) / (size - pos)
-        j = int(proxy.argmax())
-        if proxy[j] > best_gain:
-            best_gain = proxy[j]
-            best = (f, order, int(pos[j]))
-    if best is None or best_gain <= total * total / size:
-        return None
-    f, order, cut = best
-    below, above = x[bag[rows[order[cut - 1 : cut + 1]]], f]
-    thr = (below + above) / 2.0
-    if thr >= above:
+
+    def __init__(self, x, ranks, y, cfg, mtry, seeds):
+        self.x, self.ranks, self.y, self.cfg, self.mtry = x, ranks, y, cfg, mtry
+        n = x.shape[0]
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.bag = np.empty(len(seeds) * n, dtype=np.int32)
+        for t, rng in enumerate(self.rngs):
+            self.bag[t * n : (t + 1) * n] = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        self.stacks = [[(0, t * n, n)] for t in range(len(seeds))]  # (node id, start in bag, size) per tree
+        self.counts = [1] * len(seeds)  # nodes per tree so far
+        self.splits = []  # (tree, node id, feature, threshold, left child id)
+        self.leaves = []  # (tree, node id, start in bag, size)
+
+    def grow(self, out):
+        """Grow every tree; write their leaf rows to ``out`` and return their nodes.
+
+        Returns ``(counts, feature, threshold, left, right, sizes)``: node
+        counts per tree, then per node in tree order (ids local to each
+        tree) the split and the number of leaf rows (0 on internal nodes).
+        """
+        live = range(len(self.rngs))
+        twice = 2 * self.cfg.min_node_size
+        while live:
+            wide = []
+            for t in live:
+                stack = self.stacks[t]
+                while stack:
+                    nid, start, size = stack.pop()
+                    if size >= twice:
+                        wide.append((size, t, nid, start))
+                        break
+                    self.leaves.append((t, nid, start, size))
+            wide.sort(reverse=True)
+            for chunk in _chunks(wide, self.mtry):
+                self._split(chunk)
+            live = [t for t in live if self.stacks[t]]
+        return self._finish(out)
+
+    def _split(self, chunk):
+        """Split each node of ``chunk`` or make it a leaf, in one padded pass."""
+        bag = self.bag
+        n, p = self.x.shape
+        size, tree, _, start = (np.array(v) for v in zip(*chunk))
+        width = int(size[0])
+        at = start[:, None] + np.arange(width)
+        rows = bag.take(at, mode="clip")
+        pad = at >= (start + size)[:, None]
+        rows[pad] = n
+        yv = self.y.take(rows)
+        leaf = ((yv == yv[:, :1]) | pad).all(1)
+        act = np.flatnonzero(~leaf)
+        if act.size:
+            if act.size < size.size:
+                size, tree, start, at, rows, yv, pad = (a[act] for a in (size, tree, start, at, rows, yv, pad))
+            trees = tree.tolist()
+            if self.mtry < p:
+                feats = np.array([np.sort(self.rngs[t].choice(p, size=self.mtry, replace=False)) for t in trees])
+            else:  # a full draw sorts to arange(p), and nothing reads rng after the draws
+                feats = np.broadcast_to(np.arange(p), (act.size, p))
+            total = np.array([v[:s].sum() for v, s in zip(yv, size.tolist())])
+            found = self._best(feats, size, total, rows, yv)
+            leaf[act] = True
+            if found is not None:
+                k, f, cut, order = found
+                ordered = rows[k].take(order + (np.arange(k.size) * width)[:, None])
+                keep = ~pad[k]
+                bag[at[k][keep]] = ordered[keep]
+                self._record(act[k], chunk, f, cut, ordered)
+                leaf[act[k]] = False
+        self.leaves += [(t, nid, start, size) for (size, t, nid, start), flag in zip(chunk, leaf.tolist()) if flag]
+
+    def _best(self, feats, size, total, rows, yv):
+        """The nodes that split, and their feature, cut and row order; None if none does.
+
+        Each node takes its best (feature, cut) by variance reduction, as
+        the first maximum of sum_L^2/n_L + sum_R^2/n_R in feature-major
+        order: ties resolve to the lowest feature index, then the lowest
+        cut. Cuts keep both children >= min_child rows and fall between
+        distinct ranks. ``order`` is each splitting node's stable sort by
+        its chosen feature.
+        """
+        cfg, n = self.cfg, self.x.shape[0]
+        k_all, m = feats.shape
+        width = rows.shape[1]
+        lo = np.maximum(cfg.min_node_size, np.ceil(cfg.min_child_fraction * size - 1e-9).astype(np.int64))
+        hi = size - lo
+        w0, w1 = int(lo.min()), int(hi.max())
+        if w0 > w1:
+            return None
+        rv = self.ranks.take((feats * (n + 1))[:, :, None] + rows[:, None, :])
+        order = rv.argsort(axis=-1, kind="stable")
+        rs = rv.take(order + (np.arange(k_all * m) * width).reshape(k_all, m, 1))
+        pos = np.arange(w0, w1 + 1)
+        bad = rs[..., w0 : w1 + 1] == rs[..., w0 - 1 : w1]
+        bad |= ((pos < lo[:, None]) | (pos > hi[:, None]))[:, None, :]
+        del rv, rs
+        left = yv.take(order + (np.arange(k_all) * width)[:, None, None]).cumsum(-1)[..., w0 - 1 : w1]
+        # left * left / pos + right * right / (size - pos), term by term in place
+        proxy = total[:, None, None] - left
+        proxy *= proxy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            proxy /= size[:, None, None] - pos
+        left = left * left
+        left /= pos
+        proxy += left
+        del left
+        np.copyto(proxy, -np.inf, where=bad)
+        proxy = proxy.reshape(k_all, -1)
+        # a score is NaN only when the node's total is not finite; then no
+        # gain clears total * total / size, here or in a per-feature search
+        at = proxy.argmax(1)
+        best = proxy[np.arange(k_all), at]
+        k = np.flatnonzero((best > -np.inf) & ~(best <= total * total / size))
+        if not k.size:
+            return None
+        j, cut = np.divmod(at[k], w1 - w0 + 1)
+        return k, feats[k, j], cut + w0, order[k, j]
+
+    def _record(self, idx, chunk, f, cut, ordered):
+        """Record the splits of chunk nodes ``idx`` and push their children."""
+        r = np.arange(idx.size)
+        below = self.x[ordered[r, cut - 1], f]
+        above = self.x[ordered[r, cut], f]
+        thr = (below + above) / 2.0
         # adjacent floats can round the midpoint up; pin the boundary so
         # "x <= threshold goes left" still separates the two groups
-        thr = below
-    return f, float(thr), rows[order[:cut]], rows[order[cut:]]
+        thr = np.where(thr >= above, below, thr)
+        for i, fi, ti, ci in zip(idx.tolist(), f.tolist(), thr.tolist(), cut.tolist()):
+            size, t, nid, start = chunk[i]
+            lid = self.counts[t]
+            self.counts[t] = lid + 2
+            self.splits.append((t, nid, fi, ti, lid))
+            self.stacks[t].append((lid + 1, start + ci, size - ci))
+            self.stacks[t].append((lid, start, ci))
 
-
-def _grow_tree(x, ranks, y, cfg, mtry, rng):
-    n = y.size
-    p = x.shape[1]
-    bag = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-    rb, yb = ranks[:, bag], y[bag]
-    all_feats = np.arange(p)
-    feature, threshold, left, right, leaf_rows = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(None)
-        left.append(-1)
-        right.append(-1)
-        leaf_rows.append(None)
-        return len(feature) - 1
-
-    stack = [(new_node(), np.arange(n))]
-    while stack:
-        nid, node_rows = stack.pop()
-        split = None
-        if node_rows.size >= 2 * cfg.min_node_size and not _pure(yb[node_rows]):
-            if mtry < p:
-                feats = rng.choice(p, size=mtry, replace=False)
-                feats.sort()
-            else:  # a full draw sorts to arange(p), and nothing reads rng after the draws
-                feats = all_feats
-            min_child = max(cfg.min_node_size, int(math.ceil(cfg.min_child_fraction * node_rows.size - 1e-9)))
-            split = _best_split(x, bag, rb, yb, node_rows, feats, min_child)
-        if split is None:
-            leaf_rows[nid] = np.sort(bag[node_rows])
-            continue
-        f, thr, lrows, rrows = split
-        feature[nid] = f
-        threshold[nid] = thr
-        lid, rid = new_node(), new_node()
-        left[nid], right[nid] = lid, rid
-        stack.append((rid, rrows))
-        stack.append((lid, lrows))
-    thr_arr = np.array([np.nan if t is None else t for t in threshold])
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=thr_arr,
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        leaf_rows=leaf_rows,
-    )
+    def _finish(self, out):
+        counts = np.array(self.counts)
+        first = np.cumsum(counts) - counts
+        feature = np.full(first[-1] + counts[-1], -1, dtype=np.int32)
+        threshold = np.full(feature.size, np.nan)
+        left = np.full(feature.size, -1, dtype=np.int32)
+        right = left.copy()
+        if self.splits:
+            st, snid, sf, sthr, slid = (np.array(v) for v in zip(*self.splits))
+            at = first[st] + snid
+            feature[at], threshold[at], left[at], right[at] = sf, sthr, slid, slid + 1
+        lt, lnid, lstart, lsize = (np.array(v) for v in zip(*self.leaves))
+        node = first[lt] + lnid
+        sizes = np.zeros(feature.size, dtype=np.int64)
+        sizes[node] = lsize
+        order = node.argsort()
+        leaves = [self.bag[a : a + s] for a, s in zip(lstart[order].tolist(), lsize[order].tolist())]
+        for rows in leaves:
+            rows.sort()
+        np.concatenate(leaves, out=out)
+        return counts, feature, threshold, left, right, sizes
 
 
 def _ranks(x):
@@ -316,8 +396,12 @@ def fit(data, cfg, threads=1, feature_names=None):
 
     Each tree draws its own bootstrap bag (n draws with replacement) and
     its own feature subsamples from an independent stream derived from
-    ``cfg.seed`` and the tree index, so results do not depend on thread
-    scheduling. Censoring flags play no role here.
+    ``cfg.seed`` and the tree index, so results depend neither on thread
+    scheduling nor on how trees are grouped. Trees grow in lockstep
+    groups of about ``_GROUP_BYTES`` of bag store each (``_Group``);
+    ``threads > 1`` grows groups on a thread pool, and every group writes
+    its leaf rows straight into the forest's store. Censoring flags play
+    no role here.
     """
     check_threads(threads)
     if cfg.min_node_size > data.n:
@@ -326,24 +410,37 @@ def fit(data, cfg, threads=1, feature_names=None):
     if mtry > data.p:
         raise DataError("mtry exceeds the number of features")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    x, y = data.features, data.response
+    x, y, n = data.features, data.response, data.n
     ranks = _ranks(x)
+    # each rank and response gets a pad entry at row n, for _Group's padded pass
+    ranks = np.column_stack([ranks, np.full(data.p, np.iinfo(ranks.dtype).max, dtype=ranks.dtype)])
+    y = np.append(y, 0.0)
+    group = max(1, _GROUP_BYTES // (4 * n))  # trees per group, each with an int32 bag of n rows
+    rows = np.empty(cfg.n_trees * n, dtype=np.int32)
 
-    def build(seq):
-        return _grow_tree(x, ranks, y, cfg, mtry, np.random.default_rng(seq))
+    def grow(lo):
+        hi = min(lo + group, cfg.n_trees)
+        return _Group(x, ranks, y, cfg, mtry, seeds[lo:hi]).grow(rows[lo * n : hi * n])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, seeds))
+            parts = list(pool.map(grow, range(0, cfg.n_trees, group)))
     else:
-        trees = map(build, seeds)  # lazy: each tree is grown as the packing reaches it
+        parts = [grow(lo) for lo in range(0, cfg.n_trees, group)]
+    counts, feature, threshold, left, right, sizes = map(np.concatenate, zip(*parts))
+    nodes = _Nodes(
+        feature, threshold, left, right,
+        roots=np.cumsum(counts) - counts,
+        row_ptr=np.concatenate([[0], np.cumsum(sizes)]),
+        rows=rows,
+    )
     return Forest(
         config=cfg,
-        n_train=data.n,
+        n_train=n,
         n_features=data.p,
         response=data.response,
         checksum=data_checksum(data),
-        _nodes=_pack(trees, cfg.n_trees, data.n),
+        _nodes=nodes,
         feature_names=tuple(feature_names) if feature_names else None,
     )
 

@@ -237,3 +237,15 @@ def test_predict_batch_never_builds_a_dense_weight_matrix():
         finally:
             tracemalloc.stop()
         assert peak_mib < 8.0 <= dense_mib / 4, (cfg.survival, peak_mib)
+
+
+def test_non_crossing_clamp_binds_where_the_fallback_would_cross():
+    # tau 0.1: S = 0.9 g - above = [-0.5, 0.0] takes the second candidate;
+    # tau 0.9: S = 0.1 g - above = [-0.5, -0.8] is all negative, and the
+    # smallest |S| is at the first candidate, below tau 0.1's root
+    cand = np.array([[1.0, 2.0]])
+    q_hat, residual, degenerate, count = estimator._roots(
+        cand, np.ones((1, 2), dtype=bool), np.array([[0.5, 0.9]]), np.array([[0.0, 1.0]]), (0.1, 0.9))
+    assert q_hat.tolist() == [[2.0, 2.0]]
+    assert residual.tolist() == [[0.0, abs((1.0 - 0.9) * 1.0 - 0.9)]]
+    assert degenerate.tolist() == [[False, False]] and count.tolist() == [2]

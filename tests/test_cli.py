@@ -9,7 +9,7 @@ import pytest
 from cqforest.cli import main
 from cqforest.data import DataError, SimConfig, detect_schema, load_csv, simulate, write_csv
 from cqforest.estimator import CqrConfig, predict_batch
-from cqforest.forest import ForestConfig, Tree, _digest, _Nodes, _pack, _views, fit, load_forest
+from cqforest.forest import ForestConfig, Tree, _digest, _Nodes, _views, fit, load_forest
 
 
 def read_rows(path):
@@ -362,9 +362,20 @@ def crafted(feature, left, right, leaf_rows):
     return Tree(i32(feature), threshold, i32(left), i32(right), rows)
 
 
+def store(trees):
+    """The model arrays of ``trees``: their nodes and leaf rows back to back, as ``fit`` lays them out."""
+    sizes = [0 if r is None else len(r) for tree in trees for r in tree.leaf_rows]
+    return {
+        **{k: np.concatenate([getattr(tree, k) for tree in trees]) for k in ("feature", "threshold", "left", "right")},
+        "roots": np.cumsum([0] + [tree.feature.size for tree in trees[:-1]]),
+        "row_ptr": np.cumsum([0] + sizes),
+        "rows": np.concatenate([r for tree in trees for r in tree.leaf_rows if r is not None]).astype(np.int32),
+    }
+
+
 def with_trees(*trees):
     """Corruption replacing the model's first trees by ``trees``."""
-    return lambda head, arrays: (head, vars(_pack([*trees, *_views(_Nodes(**arrays))[len(trees):]], 25, 120)))
+    return lambda head, arrays: (head, store([*trees, *_views(_Nodes(**arrays))[len(trees):]]))
 
 
 # node 3 is its own child: the child links still permute 1..4, so only

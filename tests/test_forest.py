@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cqforest import forest as forest_module
 from cqforest.data import DataError, Dataset, SimConfig, simulate
 from cqforest.forest import (
     Forest,
@@ -61,6 +63,18 @@ class TestConfig:
             fit(d, ForestConfig(min_node_size=11, n_trees=1))
         with pytest.raises(DataError):
             fit(d, ForestConfig(min_node_size=1, n_trees=1, mtry=2))
+
+
+def assert_threads_agree():
+    """A forest's store is the same, byte for byte, at 1, 2 and 4 threads."""
+    d = toy_dataset(n=150, seed=8, model="aft-multi")
+    cfg = ForestConfig(min_node_size=4, n_trees=12, mtry=2, seed=9)
+    stores = [fit(d, cfg, threads=k)._nodes for k in (1, 2, 4)]
+    for key in ("feature", "threshold", "left", "right", "roots", "row_ptr", "rows"):
+        first = getattr(stores[0], key)
+        for other in stores[1:]:
+            assert getattr(other, key).dtype == first.dtype
+            assert getattr(other, key).tobytes() == first.tobytes(), key
 
 
 class TestGrowth:
@@ -133,14 +147,24 @@ class TestGrowth:
                         assert sizes[child] >= 0.3 * parent - 1e-9
 
     def test_threads_do_not_change_result(self):
-        d = toy_dataset(n=150, seed=8, model="aft-multi")
-        cfg = ForestConfig(min_node_size=4, n_trees=12, mtry=2, seed=9)
-        stores = [fit(d, cfg, threads=k)._nodes for k in (1, 2, 4)]
-        for key in ("feature", "threshold", "left", "right", "roots", "row_ptr", "rows"):
-            first = getattr(stores[0], key)
-            for other in stores[1:]:
-                assert getattr(other, key).dtype == first.dtype
-                assert getattr(other, key).tobytes() == first.tobytes(), key
+        assert_threads_agree()
+
+    def test_threads_map_groups_without_changing_result(self, monkeypatch):
+        # 12 trees in groups of 5, 5 and 2, spread over the pool
+        monkeypatch.setattr(forest_module, "_GROUP_BYTES", 5 * 4 * 150)
+        assert_threads_agree()
+
+    def test_fit_holds_little_beyond_the_forest(self):
+        # the growth stores of a group are capped near 1 MiB, and a scoring
+        # pass's temporaries by its cell cap
+        d = toy_dataset(n=5000, seed=10, model="aft-multi")
+        tracemalloc.start()
+        try:
+            forest = fit(d, ForestConfig(min_node_size=50, n_trees=20, seed=11))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forest.trees and (peak - kept) / 2**20 < 2.0, (kept, peak)
 
 
 def tie_heavy(model, n, seed):
@@ -164,7 +188,7 @@ def _corpus():
 
 
 class TestRankSplits:
-    """The rank-coded grower against the float-sort reference in _oracles."""
+    """The rank-coded lockstep grower against the float-sort reference in _oracles."""
 
     @pytest.mark.parametrize("data,cfg", list(_corpus()))
     def test_trees_equal_float_sort_reference(self, data, cfg):
@@ -178,6 +202,47 @@ class TestRankSplits:
         cfg = ForestConfig(min_node_size=3000, n_trees=1, seed=47)
         forest = fit(d, cfg)
         assert differing_trees(forest.trees, reference_trees(d.features, d.response, cfg, 1)) == []
+
+    @pytest.mark.parametrize("caps", [
+        pytest.param({"_GROUP_BYTES": 1}, id="one-tree-per-group"),
+        pytest.param({"_GROUP_BYTES": 4 * 4 * 300}, id="groups-of-4"),
+        pytest.param({"_CHUNK_CELLS": 1}, id="one-node-per-chunk"),
+        pytest.param({"_CHUNK_CELLS": 1 << 40, "_PAD_CELLS": 1 << 40}, id="one-chunk-per-step"),
+    ])
+    @pytest.mark.parametrize("data,cfg", list(_corpus()))
+    def test_caps_do_not_change_trees(self, data, cfg, caps, monkeypatch):
+        # groups of 4 split the corpus's 6 and 3 trees unevenly
+        for name, value in caps.items():
+            monkeypatch.setattr(forest_module, name, value)
+        mtry = cfg.mtry or math.ceil(data.p / 3)
+        forest = fit(data, cfg)
+        assert differing_trees(forest.trees, reference_trees(data.features, data.response, cfg, mtry)) == []
+
+    @pytest.mark.parametrize("distinct,dtype,n", [(256, np.uint8, 1024), (65_536, np.uint16, 65_536)])
+    def test_pad_rank_ties_the_largest_rank(self, distinct, dtype, n, monkeypatch):
+        # the pad takes the rank dtype's largest value, which here is also the
+        # largest real rank; every step is one chunk, so most nodes are padded
+        monkeypatch.setattr(forest_module, "_CHUNK_CELLS", 1 << 40)
+        monkeypatch.setattr(forest_module, "_PAD_CELLS", 1 << 40)
+        rng = np.random.default_rng(distinct)
+        x = rng.permutation(np.arange(n) % distinct).astype(np.float64).reshape(-1, 1)
+        d = uncensored(x, np.round(rng.normal(size=n), 1))
+        assert _ranks(d.features).dtype == dtype and _ranks(d.features).max() == np.iinfo(dtype).max
+        cfg = ForestConfig(min_node_size=max(5, n // 40), n_trees=4, seed=48)
+        forest = fit(d, cfg)
+        assert differing_trees(forest.trees, reference_trees(d.features, d.response, cfg, 1)) == []
+
+    def test_overflowing_sums_equal_reference(self):
+        # node totals and running sums reach +-inf, so some split scores are NaN
+        rng = np.random.default_rng(49)
+        x = rng.integers(0, 5, size=(40, 3)).astype(np.float64)
+        d = uncensored(x, rng.choice([1e308, -1e308, 1.7e308, 1.0, -5e307], size=40))
+        for mtry in (1, 2, 3):
+            cfg = ForestConfig(min_node_size=2, n_trees=8, mtry=mtry, seed=50 + mtry)
+            with np.errstate(over="ignore", invalid="ignore"):
+                forest = fit(d, cfg)
+                refs = reference_trees(d.features, d.response, cfg, mtry)
+            assert differing_trees(forest.trees, refs) == []
 
     @pytest.mark.parametrize("distinct,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
                                                 (65_536, np.uint16), (65_537, np.uint32)])
