@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset, SimConfig, check_taus, check_threads, open_utf8, simulate, true_quantile
-from .estimator import CqrConfig, _qhat_table, _weighted_quantile_table, predict_with_weights
-from .forest import ForestConfig, WeightVector, _points, _weight_rows, fit, quantile_from_weights
+from .estimator import CqrConfig, _qhat_table, predict_with_weights
+from .forest import ForestConfig, WeightVector, _points, _weight_rows, _weighted_quantile_table, fit, quantile_from_weights
 from .metrics import c_index, quantile_losses
 
 SCENARIOS = (

@@ -7,6 +7,7 @@ randomness flows from --seed flags, and exit codes are 0 (success),
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -103,6 +104,8 @@ def _read_predictions(path):
                 row, tau, q = int(rec[irow]), float(rec[itau]), float(rec[iq])
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed prediction row") from None
+            if not (math.isfinite(tau) and math.isfinite(q)):
+                raise DataError(f"{path}:{lineno}: tau and q_hat must be finite")
             per_tau = table.setdefault(tau, {})
             if row in per_tau:
                 raise DataError(f"{path}:{lineno}: repeated prediction for row {row} at tau {tau!r}")

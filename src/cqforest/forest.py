@@ -14,6 +14,7 @@ import math
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,19 +81,12 @@ class WeightVector:
         value = np.asarray(value, dtype=np.float64)
         if index.shape != value.shape or index.ndim != 1:
             raise DataError("index/value shape mismatch")
-        if (value < 0).any() or not np.isfinite(value).all():
-            raise DataError("weights must be finite and nonnegative")
-        keep = value > 0
+        keep = value != 0  # a negative or non-finite value stays, for _check_rows to refuse
         index, value = index[keep], value[keep]
         if (np.diff(index) <= 0).any():  # from_dense indices arrive strictly increasing
             order = np.argsort(index, kind="stable")
             index, value = index[order], value[order]
-        if index.size == 0:
-            raise DataError("weight vector has empty support")
-        if index[0] < 0 or index[-1] >= n or (np.diff(index) == 0).any():
-            raise DataError("weight indices must be unique and within [0, n)")
-        if abs(float(value.sum()) - 1.0) > 1e-8:
-            raise DataError("weights must sum to 1")
+        _check_rows(index, value, np.array([index.size]), n)
         self.index = index
         self.value = value
         self.n = int(n)
@@ -161,7 +155,7 @@ class Forest:
     ``_nodes`` is the flat store holding every tree (filled group by
     group in ``fit``, read back whole by ``load_forest``), so the forest is
     held once and walked in one pass; ``trees`` is a list of per-tree
-    views into it.
+    views into it, built on first use.
     """
 
     config: ForestConfig
@@ -171,10 +165,10 @@ class Forest:
     checksum: str
     _nodes: _Nodes = field(repr=False, compare=False)
     feature_names: tuple | None = field(default=None)
-    trees: list = field(init=False)
 
-    def __post_init__(self):
-        self.trees = _views(self._nodes)
+    @cached_property
+    def trees(self):
+        return _views(self._nodes)
 
 
 # cells (nodes x mtry x padded width) scored in one pass: enough to spread
@@ -497,10 +491,11 @@ def _weight_rows(forest, xmat):
     stay near 1 MiB whatever the batch size. ``xmat`` must already have
     passed ``_points``.
     """
-    nodes, b, n = forest._nodes, len(forest.trees), forest.n_train
-    block = max(1, _WALK_LANES // nodes.roots.size)
+    nodes, n = forest._nodes, forest.n_train
+    b = nodes.roots.size  # trees
+    block = max(1, _WALK_LANES // b)
     for lo in range(0, xmat.shape[0], block):
-        leaves = _descend(nodes, nodes.roots, xmat[lo : lo + block]).reshape(-1, nodes.roots.size)
+        leaves = _descend(nodes, nodes.roots, xmat[lo : lo + block]).reshape(-1, b)
         for point_leaves in leaves:
             start = nodes.row_ptr[point_leaves]
             size = nodes.row_ptr[point_leaves + 1] - start
@@ -548,6 +543,128 @@ def forest_weights(forest, x):
     return WeightVector(index, value, forest.n_train)
 
 
+# cells of a block's (points x support width x taus) table: enough to spread
+# each numpy call over many points, few enough that each table (256 KiB of
+# float64) stays small next to the batch, whatever its size
+_BLOCK_CELLS = 1 << 15
+
+
+def _blocks(rows, n_taus, min_width=1):
+    """Runs of consecutive rows whose padded (points x width x taus) table fits in _BLOCK_CELLS.
+
+    The width is the block's widest support, and at least ``min_width``
+    (km-knn's candidate tables are k wide).
+    """
+    block, width = [], min_width
+    for row in rows:
+        wider = max(width, row[0].size)
+        if block and (len(block) + 1) * wider * n_taus > _BLOCK_CELLS:
+            yield block
+            block, wider = [], max(min_width, row[0].size)
+        block.append(row)
+        width = wider
+    if block:
+        yield block
+
+
+def _check_rows(index, value, nnz, n):
+    """``WeightVector``'s checks on sparse rows laid back to back, ``nnz[i]`` entries in row i."""
+    if (value < 0).any() or not np.isfinite(value).all():
+        raise DataError("weights must be finite and nonnegative")
+    if (nnz == 0).any():
+        raise DataError("weight vector has empty support")
+    starts = np.cumsum(nnz) - nnz
+    step = np.diff(index)
+    step[starts[1:] - 1] = 1  # where one row ends and the next begins
+    if index.min() < 0 or index.max() >= n or (step <= 0).any():
+        raise DataError("weight indices must be unique and within [0, n)")
+    if (np.abs(np.add.reduceat(value, starts) - 1.0) > 1e-8).any():
+        raise DataError("weights must sum to 1")
+
+
+def _take_rows(a, pos):
+    """a[i, pos[i, j]] for every (i, j), as one flat take."""
+    return a.ravel().take(pos + np.arange(0, a.size, a.shape[1])[:, None])
+
+
+def _groups(ys, nnz):
+    """Tie groups of rows sorted ascending: (first, end).
+
+    ``first[i, j]`` is the position where the group of ys[i, j] starts;
+    ``end`` marks the last position of each group among the first
+    ``nnz[i]`` entries of row i.
+    """
+    start = np.ones(ys.shape, dtype=bool)
+    start[:, 1:] = ys[:, 1:] > ys[:, :-1]
+    cols = np.arange(ys.shape[1])
+    first = np.maximum.accumulate(np.where(start, cols, 0), axis=1)
+    end = np.ones(ys.shape, dtype=bool)
+    end[:, :-1] = start[:, 1:]
+    return first, end & (cols < nnz[:, None])
+
+
+def _reversed_cumsum(a):
+    """Row-wise sums from the right: out[i, j] = a[i, j] + a[i, j+1] + ..., added right to left."""
+    return np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+
+
+class _Support:
+    """A block of sparse weight rows, padded on the right and sorted by response.
+
+    ``rows`` are (index, value) pairs: strictly increasing training-row
+    indices with positive weights summing to one, checked here by
+    ``_check_rows``, once for the whole block. Rows are padded to the
+    widest support with index n (response +inf, event true) and weight
+    0, so a stable sort leaves every pad after the real entries, a
+    reversed cumsum adds only 0.0 before them and a cumprod multiplies
+    only by 1.0 after them: each row's real entries get the same bits as
+    the row alone.
+
+    ``idx``/``val`` are the padded rows in index order; ``order`` sorts
+    each row stably by response, ``ys`` holds the sorted responses and
+    ``suffix[:, j]`` the weight at sorted positions j and above (0 at
+    j = width), the sums ``mass_above`` reads.
+    """
+
+    def __init__(self, rows, y):
+        n = y.size
+        self.nnz = nnz = np.array([index.size for index, _ in rows])
+        index = np.concatenate([index for index, _ in rows])
+        value = np.concatenate([value for _, value in rows])
+        _check_rows(index, value, nnz, n)
+        width = int(nnz.max())
+        if nnz.size == 1:  # a single-point query needs no padding (about 3% of its time)
+            self.idx, self.val, ys = index[None, :], value[None, :], y.take(index)[None, :]
+        else:
+            # a row-major boolean mask lists each row's real cells in the rows' concatenated order
+            real = np.arange(width) < nnz[:, None]
+            self.idx = np.full(real.shape, n)
+            self.val = np.zeros(real.shape)
+            ys = np.full(real.shape, np.inf)
+            self.idx[real], self.val[real], ys[real] = index, value, y.take(index)
+        self.order = np.argsort(ys, axis=1, kind="stable")
+        self.ys = _take_rows(ys, self.order)
+        self.suffix = np.zeros((nnz.size, width + 1))
+        self.suffix[:, :width] = _reversed_cumsum(_take_rows(self.val, self.order))
+
+    @classmethod
+    def of(cls, w, y):
+        """The block of one ``WeightVector`` over responses y."""
+        return cls([(w.index, w.value)], np.asarray(y, dtype=np.float64))
+
+
+def _weighted_quantile_table(rows, y, taus):
+    """(points, len(taus)) weighted quantiles of y: ``quantile_from_weights`` at every row."""
+    taus = np.array(taus)
+    out = []
+    for block in _blocks(rows, taus.size):
+        sup = _Support(block, y)
+        _, end = _groups(sup.ys, sup.nnz)
+        reached = end[:, None, :] & (sup.suffix[:, None, 1:] <= (1.0 - taus)[:, None])
+        out.append(_take_rows(sup.ys, reached.argmax(axis=2)))
+    return np.concatenate(out)
+
+
 def support_grid(w, y):
     """Distinct support response values and the weight mass strictly above each.
 
@@ -556,18 +673,16 @@ def support_grid(w, y):
     same suffix sums as ``mass_above`` so downstream comparisons are
     reproducible.
     """
-    cands = np.unique(np.asarray(y)[w.index])
-    return cands, mass_above(w, y, cands)
+    sup = _Support.of(w, y)
+    _, end = _groups(sup.ys, sup.nnz)
+    return sup.ys[end], sup.suffix[:, 1:][end]
 
 
 def mass_above(w, y, q):
     """sum_i w_i 1(y_i > q) for scalar or array q."""
-    ys = np.asarray(y)[w.index]
-    order = np.argsort(ys, kind="stable")
-    ysort = ys[order]
-    suffix = np.append(np.cumsum(w.value[order][::-1])[::-1], 0.0)
+    sup = _Support.of(w, y)
     q = np.asarray(q, dtype=np.float64)
-    out = suffix[np.searchsorted(ysort, q, side="right")]
+    out = sup.suffix[0][np.searchsorted(sup.ys[0], q, side="right")]
     return float(out) if q.ndim == 0 else out
 
 
@@ -578,9 +693,8 @@ def quantile_from_weights(w, y, tau):
     read from one support grid.
     """
     scalar = np.ndim(tau) == 0
-    taus = np.array([check_tau(t) for t in ([tau] if scalar else tau)])
-    cands, above = support_grid(w, y)
-    q = cands[np.argmax(above[:, None] <= 1.0 - taus, axis=0)]
+    taus = [check_tau(t) for t in ([tau] if scalar else tau)]
+    q = _weighted_quantile_table([(w.index, w.value)], np.asarray(y, dtype=np.float64), taus)[0]
     return float(q[0]) if scalar else q
 
 

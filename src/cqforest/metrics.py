@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, check_tau
+from .survival import _check_survival_inputs
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,16 @@ def quantile_losses(truth_T, true_Q, pred_Q, tau):
     pred_Q = np.asarray(pred_Q, dtype=np.float64)
     if truth_T.shape != pred_Q.shape or truth_T.ndim != 1 or truth_T.size == 0:
         raise DataError("truth/prediction vectors must be equal-length and nonempty")
+    if not (np.isfinite(truth_T).all() and np.isfinite(pred_Q).all()):
+        raise DataError("truth and prediction values must be finite")
     l_quantile = float(np.mean(pinball(truth_T - pred_Q, tau)))
     l_mse = l_mad = None
     if true_Q is not None:
         true_Q = np.asarray(true_Q, dtype=np.float64)
         if true_Q.shape != pred_Q.shape:
             raise DataError("true quantile vector length mismatch")
+        if not np.isfinite(true_Q).all():
+            raise DataError("true quantiles must be finite")
         err = pred_Q - true_Q
         l_mse = float(np.mean(err * err))
         l_mad = float(np.mean(np.abs(err)))
@@ -90,10 +95,11 @@ def c_index(pred, y, event):
     ties score 0.5.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    event = np.asarray(event).astype(bool)
-    if not pred.shape == y.shape == event.shape or pred.ndim != 1:
+    y, event = _check_survival_inputs(y, event)
+    if pred.shape != y.shape:
         raise DataError("pred, y, event must be equal-length vectors")
+    if not np.isfinite(pred).all():
+        raise DataError("predictions must be finite")
     # ordered pairs (i, j) with i the case failing first, a block of i at a time;
     # the counts are integers, so the result does not depend on the blocking
     n_usable = wins = ties = 0

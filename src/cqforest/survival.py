@@ -15,18 +15,20 @@ only in how rows are weighted or selected:
 Risk sets are inclusive (rows with y_j >= y_i), and all rows tied at one
 follow-up time share the risk mass counted at the start of the tie group,
 so the result does not depend on within-tie ordering.
+
+Two block kernels, sharing no code, compute every curve: the weighted
+product-limit ``_beran_rf`` and the count product-limit ``_km``. Each
+public function is a block of one over them.
 """
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError
-
-log = logging.getLogger(__name__)
+from .forest import WeightVector, _groups, _reversed_cumsum, _Support, _take_rows
 
 
 class SurvivalCurve:
@@ -79,24 +81,18 @@ class SurvivalCurve:
         return f"SurvivalCurve({self.jump_times.size} jumps)"
 
 
-def _curve_from_factors(times, factors):
-    """Fold sorted per-row factors into a step curve.
-
-    ``times`` must be ascending; consecutive equal times share one jump.
-    Jumps whose cumulative product equals the preceding value exactly
-    (event-only tie groups, factor 1) are dropped.
-    """
-    cum = np.cumprod(factors)
-    last = np.append(np.flatnonzero(np.diff(times) > 0), times.size - 1)
-    vals = np.minimum(cum[last], 1.0)
-    jt = times[last]
-    keep = vals != np.append(1.0, vals[:-1])
-    return SurvivalCurve(jt[keep], vals[keep])
+def _curve_values(cum):
+    """min(cum, 1) for a block of cumulative product-limit factors, after SurvivalCurve's value check."""
+    if (cum < 0).any() or (np.diff(cum, axis=1) > 0).any():
+        raise DataError("curve values must be nonincreasing within [0, 1]")
+    return np.minimum(cum, 1.0)
 
 
-def _sorted_rows(y, event):
-    """Order rows by follow-up time, event rows first within ties."""
-    return np.lexsort((~event, y))
+def _step_curve(ys, end, g):
+    """A block of one's curve: value ``g`` at each tie group's ``end``, jumping only where it changes."""
+    ys, g = ys[end], g[end]
+    keep = g != np.append(1.0, g[:-1])
+    return SurvivalCurve(ys[keep], g[keep])
 
 
 def _check_survival_inputs(y, event):
@@ -115,6 +111,19 @@ def _check_survival_inputs(y, event):
     return y, event
 
 
+def _km(y, event):
+    """Kaplan-Meier on counts at every row of (points, m) responses and flags: sorted ys, group ends, values.
+
+    Rows are sorted by response, events first within ties; the risk count
+    of a censored row is the number of entries from its tie group's start.
+    """
+    order = np.lexsort((~event, y), axis=1)
+    ys = _take_rows(y, order)
+    first, end = _groups(ys, np.full(y.shape[0], y.shape[1]))
+    factors = np.where(_take_rows(event, order), 1.0, 1.0 - 1.0 / (y.shape[1] - first))
+    return ys, end, _curve_values(np.cumprod(factors, axis=1))
+
+
 def km(y, event):
     """Kaplan-Meier estimate of the censoring survival function.
 
@@ -122,29 +131,27 @@ def km(y, event):
     each censored row at t removes a 1/risk share of the remaining mass.
     """
     y, event = _check_survival_inputs(y, event)
-    order = _sorted_rows(y, event)
-    ys, evs = y[order], event[order]
-    risk = ys.size - np.searchsorted(ys, ys, side="left")
-    factors = np.where(evs, 1.0, 1.0 - 1.0 / risk)
-    return _curve_from_factors(ys, factors)
+    return _step_curve(*_km(y[None, :], event[None, :]))
 
 
-def _weighted_product_limit(y, event, weights):
-    """Product-limit curve where row i carries mass weights[i].
+def _beran_rf(sup, event, first):
+    """``beran_rf`` at every row of a ``_Support`` block, read at each stable-sorted position.
 
-    Weights are rescaled by their maximum before any ratio is formed, so
-    a uniform weight vector reproduces the count-based estimate exactly,
-    whatever the common weight value is.
+    Rows are ordered by response, events first within ties, then by
+    index; each tie group shares the risk mass counted at its start
+    (``first``). Weights are rescaled by the row's maximum, so a uniform
+    row gives ``_km``'s factors exactly. A group's last position holds
+    the curve at its response.
     """
-    order = _sorted_rows(y, event)
-    ys, evs = y[order], event[order]
-    u = weights[order] / weights.max()
-    suffix = np.append(np.cumsum(u[::-1])[::-1], 0.0)
-    first = np.append(0, np.flatnonzero(np.diff(ys) > 0) + 1)
-    gid = np.cumsum(np.append(0, (np.diff(ys) > 0).astype(np.int64)))
-    risk = suffix[first[gid]]
-    factors = np.where(evs, 1.0, 1.0 - u / risk)
-    return _curve_from_factors(ys, factors)
+    censored = ~_take_rows(np.append(event, True).take(sup.idx), sup.order)
+    # the stable response order is already grouped, so one stable sort of
+    # (group, censored) keys moves events first within each tie group
+    events_first = np.argsort(2 * first + censored, axis=1, kind="stable")
+    u = _take_rows(_take_rows(sup.val, sup.order), events_first) / sup.val.max(axis=1)[:, None]
+    risk = _take_rows(_reversed_cumsum(u), first)
+    censored = _take_rows(censored, events_first)
+    factors = 1.0 - np.divide(u, risk, out=np.zeros_like(u), where=censored)
+    return _curve_values(np.cumprod(factors, axis=1))
 
 
 def beran_rf(data, w):
@@ -153,9 +160,9 @@ def beran_rf(data, w):
     Only rows in the support of ``w`` enter; each contributes its own
     weight to the risk sets and removes a w_i/risk share when censored.
     """
-    y = data.response[w.index]
-    event = data.event[w.index]
-    return _weighted_product_limit(y, event, w.value)
+    sup = _Support.of(w, data.response)
+    first, end = _groups(sup.ys, sup.nnz)
+    return _step_curve(sup.ys, end, _beran_rf(sup, data.event, first))
 
 
 @dataclass(frozen=True)
@@ -194,9 +201,32 @@ def beran_nw(data, x, cfg):
     if total <= 0:
         raise DataError("empty kernel neighborhood: all kernel weights are zero")
     keep = np.flatnonzero(kv)
-    return _weighted_product_limit(
-        data.response[keep], data.event[keep], kv[keep] / total
-    )
+    return beran_rf(data, WeightVector(keep, kv[keep] / total, data.n))
+
+
+def _nearest(idx, val, nnz, k, n):
+    """Every padded row's k highest-weight rows as ``nearest_rows`` picks them, ascending: (points, k).
+
+    Ties go to the lower index; a row with fewer than k weighted rows
+    fills the open slots with the lowest-index rows outside its support.
+    """
+    if not 1 <= k <= n:
+        raise DataError("k must lie in [1, n]")
+    if idx.shape[1] < k:
+        idx = np.concatenate([idx, np.full((nnz.size, k - idx.shape[1]), n)], axis=1)
+        val = np.concatenate([val, np.zeros((nnz.size, k - val.shape[1]))], axis=1)
+    # indices ascend along each row, so a stable sort sends ties to the lower index
+    top = _take_rows(idx, np.argsort(-val, axis=1, kind="stable")[:, :k])
+    short = np.flatnonzero(nnz < k)
+    if short.size:
+        # at most nnz of rows 0..k-1 carry weight, so they hold enough free rows
+        taken = np.zeros((short.size, k + 1), dtype=bool)
+        taken[np.arange(short.size)[:, None], np.minimum(idx[short], k)] = True
+        free = ~taken[:, :k]
+        rank = np.cumsum(free, axis=1)
+        r, c = np.nonzero(free & (rank <= (k - nnz[short])[:, None]))
+        top[short[r], nnz[short[r]] + rank[r, c] - 1] = c
+    return np.sort(top, axis=1)
 
 
 def nearest_rows(w, k):
@@ -205,17 +235,13 @@ def nearest_rows(w, k):
     Returned sorted ascending. If fewer than k rows carry positive
     weight, zero-weight rows (lowest indices first) pad the set.
     """
-    if not 1 <= k <= w.n:
-        raise DataError("k must lie in [1, n]")
-    # w.index is ascending, so a stable sort sends ties to the lower index
-    ranked = w.index[np.argsort(-w.value, kind="stable")][:k]
-    n_zero = int(k) - ranked.size
-    if n_zero:
-        log.debug("nearest_rows: padded %d of %d slots with zero-weight rows", n_zero, k)
-        # at most k - n_zero of rows 0..k-1 carry weight, so they hold enough padding
-        pad = np.setdiff1d(np.arange(k), w.index, assume_unique=True)[:n_zero]
-        ranked = np.concatenate([ranked, pad])
-    return np.sort(ranked)
+    return _nearest(w.index[None, :], w.value[None, :], np.array([w.index.size]), k, w.n)[0]
+
+
+def _km_knn(sup, data, k):
+    """``_km`` on each row's k nearest rows: sorted responses, group ends and curve values, each (points, k)."""
+    near = _nearest(sup.idx, sup.val, sup.nnz, k, data.n)
+    return _km(data.response.take(near), data.event.take(near))
 
 
 def km_knn(data, w, k):

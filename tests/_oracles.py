@@ -1,20 +1,25 @@
-"""Brute-force reference implementations used to pin expected test values.
+"""Reference implementations used to pin expected test values.
 
 Most of these are direct, naive transcriptions of the defining formulas
 (plain Python loops, no shared code with the package). Slow on purpose.
-Two are the package's own former implementations, kept as the reference
-for the faster ones that replaced them: the float-sort tree grower
-(``grow_tree``) and the per-point root pass (``root_pass``), which calls
-the package's public per-point functions but nothing of the block pass.
+The rest are the package's own former implementations, kept as the
+reference for the faster code that replaced them:
+
+- the float-sort tree grower (``grow_tree``);
+- the per-point root pass (``root_pass``) and the per-point bodies it is
+  built from: ``mass_above``, ``support_grid``,
+  ``quantile_from_weights``, ``candidate_set``, ``nearest_rows``, the
+  count product-limit ``km`` and ``km_knn``, and the weighted
+  product-limit ``beran_rf``. The package now runs each of these as a
+  block of one over its block kernels; these bodies share no code with
+  them.
 """
 
 import math
 
 import numpy as np
 
-from cqforest.estimator import candidate_set
-from cqforest.forest import mass_above
-from cqforest.survival import beran_rf, km_knn
+from cqforest.survival import SurvivalCurve
 
 
 def pinball_loss(u, tau):
@@ -265,18 +270,104 @@ def differing_trees(trees, refs):
     return out
 
 
+def mass_above(w, y, q):
+    """sum_i w_i 1(y_i > q) for scalar or array q, from one sorted suffix-sum stream."""
+    ys = np.asarray(y)[w.index]
+    order = np.argsort(ys, kind="stable")
+    ysort = ys[order]
+    suffix = np.append(np.cumsum(w.value[order][::-1])[::-1], 0.0)
+    q = np.asarray(q, dtype=np.float64)
+    out = suffix[np.searchsorted(ysort, q, side="right")]
+    return float(out) if q.ndim == 0 else out
+
+
+def support_grid(w, y):
+    """Distinct support responses, ascending, and the weight mass strictly above each."""
+    cands = np.unique(np.asarray(y)[w.index])
+    return cands, mass_above(w, y, cands)
+
+
+def quantile_from_weights(w, y, tau):
+    """Smallest support value whose weighted CDF reaches tau; an array for a sequence of taus."""
+    scalar = np.ndim(tau) == 0
+    taus = np.array([tau] if scalar else tau, dtype=np.float64)
+    cands, above = support_grid(w, y)
+    q = cands[np.argmax(above[:, None] <= 1.0 - taus, axis=0)]
+    return float(q[0]) if scalar else q
+
+
+def nearest_rows(w, k):
+    """The k rows with the largest weight, ties to the lower index, padded with the lowest zero-weight rows; ascending."""
+    # w.index is ascending, so a stable sort sends ties to the lower index
+    ranked = w.index[np.argsort(-w.value, kind="stable")][:k]
+    n_zero = int(k) - ranked.size
+    if n_zero:
+        # at most k - n_zero of rows 0..k-1 carry weight, so they hold enough padding
+        pad = np.setdiff1d(np.arange(k), w.index, assume_unique=True)[:n_zero]
+        ranked = np.concatenate([ranked, pad])
+    return np.sort(ranked)
+
+
+def candidate_set(w, y, mode, k=None):
+    """Distinct responses of the positive-weight rows ("beran-rf") or of the k nearest rows ("km-knn")."""
+    rows = w.index if mode == "beran-rf" else nearest_rows(w, k)
+    return np.unique(np.asarray(y, dtype=np.float64)[rows])
+
+
+def _curve_from_factors(times, factors):
+    """Fold ascending per-row factors into a step curve; a jump that leaves the value unchanged is dropped."""
+    cum = np.cumprod(factors)
+    last = np.append(np.flatnonzero(np.diff(times) > 0), times.size - 1)
+    vals = np.minimum(cum[last], 1.0)
+    jt = times[last]
+    keep = vals != np.append(1.0, vals[:-1])
+    return SurvivalCurve(jt[keep], vals[keep])
+
+
+def km(y, event):
+    """Count product-limit curve: rows by time, events first within ties; risk counted from the tie group's start."""
+    y, event = np.asarray(y, dtype=np.float64), np.asarray(event).astype(bool)
+    order = np.lexsort((~event, y))
+    ys, evs = y[order], event[order]
+    risk = ys.size - np.searchsorted(ys, ys, side="left")
+    return _curve_from_factors(ys, np.where(evs, 1.0, 1.0 - 1.0 / risk))
+
+
+def weighted_product_limit(y, event, weights):
+    """Product-limit curve where row i carries mass weights[i], rescaled by the largest weight."""
+    order = np.lexsort((~event, y))
+    ys, evs = y[order], event[order]
+    u = weights[order] / weights.max()
+    suffix = np.append(np.cumsum(u[::-1])[::-1], 0.0)
+    first = np.append(0, np.flatnonzero(np.diff(ys) > 0) + 1)
+    gid = np.cumsum(np.append(0, (np.diff(ys) > 0).astype(np.int64)))
+    risk = suffix[first[gid]]
+    return _curve_from_factors(ys, np.where(evs, 1.0, 1.0 - u / risk))
+
+
+def beran_rf(data, w):
+    """The weighted product-limit over the support of ``w``."""
+    return weighted_product_limit(data.response[w.index], data.event[w.index], w.value)
+
+
+def km_knn(data, w, k):
+    """The count product-limit over the k nearest rows."""
+    rows = nearest_rows(w, k)
+    return km(data.response[rows], data.event[rows])
+
+
 def root_pass(w, data, taus, survival="beran-rf", knn=None, search_radius=None):
     """The per-point root of S(q; tau) at every tau, solved one point at a time.
 
     ``w`` is one point's ``WeightVector``. This is the solver the package
-    used before it solved blocks of points, built from the public
-    per-point functions the block pass no longer calls: ``candidate_set``,
-    ``mass_above``, ``beran_rf`` or ``km_knn`` and ``SurvivalCurve.evaluate``.
-    The root selector and the non-crossing clamp are its former private
-    code: the smallest candidate with S >= 0 (else the smallest argmin
-    |S|), never below the previous tau's. Returns one (q_hat, residual,
-    candidate_count, degenerate_tail) tuple per tau; raises ValueError
-    when no candidate lies inside the radius.
+    used before it solved blocks of points, built from the per-point
+    references above (``candidate_set``, ``mass_above``, ``beran_rf`` or
+    ``km_knn``) and ``SurvivalCurve.evaluate``, none of which runs the
+    block kernels. The root selector and the non-crossing clamp are its
+    former private code: the smallest candidate with S >= 0 (else the
+    smallest argmin |S|), never below the previous tau's. Returns one
+    (q_hat, residual, candidate_count, degenerate_tail) tuple per tau;
+    raises ValueError when no candidate lies inside the radius.
     """
     cands = candidate_set(w, data.response, survival, knn)
     above = mass_above(w, data.response, cands)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cqforest import estimator
+from cqforest import forest as forest_module
 from cqforest.data import DataError, Dataset, SimConfig, simulate
 from cqforest.estimator import CqrConfig, predict_batch, predict_quantiles, predict_with_weights
 from cqforest.forest import (
@@ -113,8 +114,8 @@ class TestAgainstPerPointReference:
         data = tie_heavy(9, n=120)
         rows = random_rows(np.random.default_rng(10), data.n, 30)
         whole = block_table(rows, data, cfg)
-        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 40 * 3 * len(TAUS))
-        assert len(list(estimator._blocks(rows, len(TAUS)))) > 3
+        monkeypatch.setattr(forest_module, "_BLOCK_CELLS", 40 * 3 * len(TAUS))
+        assert len(list(forest_module._blocks(rows, len(TAUS)))) > 3
         assert block_table(rows, data, cfg).tobytes() == whole.tobytes()
         assert_same_bytes(rows, data, cfg)
 
@@ -178,9 +179,9 @@ class TestWeightedQuantileTable:
         data = tie_heavy(16, n=80)
         rows = random_rows(np.random.default_rng(17), data.n, 25)
         want = np.array([quantile_from_weights(WeightVector(i, v, data.n), data.response, TAUS) for i, v in rows])
-        assert estimator._weighted_quantile_table(rows, data.response, TAUS).tobytes() == want.tobytes()
-        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 100)
-        assert estimator._weighted_quantile_table(rows, data.response, TAUS).tobytes() == want.tobytes()
+        assert forest_module._weighted_quantile_table(rows, data.response, TAUS).tobytes() == want.tobytes()
+        monkeypatch.setattr(forest_module, "_BLOCK_CELLS", 100)
+        assert forest_module._weighted_quantile_table(rows, data.response, TAUS).tobytes() == want.tobytes()
 
 
 class TestBlockChecks:

@@ -6,7 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cqforest import estimator  # noqa: E402
+from cqforest import forest as forest_module  # noqa: E402
 from cqforest.data import DataError, Dataset  # noqa: E402
 from cqforest.estimator import CqrConfig  # noqa: E402
 
@@ -32,7 +32,7 @@ def problems(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(problem=problems(), cells=st.sampled_from((1, 50, estimator._BLOCK_CELLS)))
+@given(problem=problems(), cells=st.sampled_from((1, 50, forest_module._BLOCK_CELLS)))
 def test_random_sparse_rows_match_the_reference(problem, cells):
     rows, data, cfg = problem
     try:
@@ -41,10 +41,10 @@ def test_random_sparse_rows_match_the_reference(problem, cells):
         with pytest.raises(DataError, match="search radius"):
             block_table(rows, data, cfg)
         return
-    saved = estimator._BLOCK_CELLS
-    estimator._BLOCK_CELLS = cells
+    saved = forest_module._BLOCK_CELLS
+    forest_module._BLOCK_CELLS = cells
     try:
         got = block_table(rows, data, cfg)
     finally:
-        estimator._BLOCK_CELLS = saved
+        forest_module._BLOCK_CELLS = saved
     assert got.tobytes() == want.tobytes()

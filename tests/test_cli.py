@@ -193,6 +193,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "e.csv")]) == 3
         assert f"{pred}:7: repeated prediction for row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["tau", "q_hat"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_evaluate_non_finite_prediction_exit_3(self, tmp_path, capsys, column, value):
+        truth = simulate(SimConfig(model="aft1d", n=5, censor_rate_param=0.08, seed=4))
+        write_csv(tmp_path / "t.csv", truth)
+        rows = [[str(i), "0.5", "1.0"] for i in range(5)]
+        rows[3][1 if column == "tau" else 2] = value
+        pred = tmp_path / "p.csv"
+        pred.write_text("row,tau,q_hat\n" + "".join(",".join(r) + "\n" for r in rows))
+        out = tmp_path / "e.csv"
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(tmp_path / "t.csv"), "--out", str(out)]) == 3
+        assert f"{pred}:5: tau and q_hat must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def with_repeated_column(good, bad, rows=None):
     """Copy the first ``rows`` data rows of a CSV, adding a second column named like its first."""

@@ -445,6 +445,16 @@ class TestFlatWalkAndScatter:
                     assert np.shares_memory(getattr(tree, key), getattr(nodes, key))
                 assert all(np.shares_memory(r, nodes.rows) for r in tree.leaf_rows if r is not None)
 
+    def test_trees_are_built_on_first_use(self, tmp_path):
+        d = toy_dataset(n=80, seed=35, model="aft-multi")
+        f = fit(d, ForestConfig(min_node_size=4, n_trees=3, seed=36))
+        path = tmp_path / "model.json"
+        save_forest(f, path)
+        for forest in (f, load_forest(path, d)):
+            weight_matrix(forest, d.features[:5])  # the walk reads the flat store only
+            assert "trees" not in vars(forest)
+            assert len(forest.trees) == 3 and "trees" in vars(forest)
+
 
 class TestSupportGrid:
     def test_distinct_sorted_and_mass(self):

@@ -64,6 +64,15 @@ class TestQuantileLosses:
         with pytest.raises(DataError):
             quantile_losses([], None, [], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DataError, match="must be finite"):
+            quantile_losses([1.0, 2.0], None, [1.5, bad], 0.5)
+        with pytest.raises(DataError, match="must be finite"):
+            quantile_losses([bad, 2.0], None, [1.5, 1.5], 0.5)
+        with pytest.raises(DataError, match="must be finite"):
+            quantile_losses([1.0, 2.0], [bad, 2.0], [1.5, 1.5], 0.5)
+
 
 class TestCIndex:
     def test_perfect_ranking(self):
@@ -136,3 +145,19 @@ class TestCIndex:
     def test_shape_errors(self):
         with pytest.raises(DataError):
             c_index([1.0], [1.0, 2.0], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DataError, match="must be finite"):
+            c_index([1.0, bad, 3.0], [1.0, 2.0, 3.0], [1, 0, 1])
+        with pytest.raises(DataError, match="must be finite"):
+            c_index([1.0, 2.0, 3.0], [1.0, bad, 3.0], [1, 0, 1])
+
+    @pytest.mark.parametrize("event", [[2, 0, 1], [1, -1, 0], [0.5, 1.0, 0.0]])
+    def test_rejects_event_flags_other_than_0_1(self, event):
+        with pytest.raises(DataError, match="event flags"):
+            c_index([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], event)
+
+    def test_accepts_boolean_and_0_1_flags(self):
+        assert c_index([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [True, False, True]) == 1.0
+        assert c_index([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) == 1.0
