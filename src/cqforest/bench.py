@@ -20,7 +20,7 @@ except for the wall-clock values measured by runtime-scaling.
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,27 +134,27 @@ def illustrative_roots(n, seed, tau=0.5):
     return root_u1, root_u2
 
 
-def _censor_rate(spec, model):
-    return spec.censor_rate if spec.censor_rate is not None else _DEFAULT_RATE[model]
+def _replications(spec, plan):
+    """``(rep, node size, train, test, forest config, forest)`` for every fit of a run, in results.csv order.
 
-
-def _simulate_pair(model, spec, rep, rate):
-    train = simulate(
-        SimConfig(model=model, n=spec.n_train, censor_rate_param=rate, seed=_child_seed(spec.seed, rep, 0))
-    )
-    test = simulate(
-        SimConfig(model=model, n=spec.n_test, censor_rate_param=rate, seed=_child_seed(spec.seed, rep, 1))
-    )
-    return train, test
-
-
-def _oracle_dataset(train):
-    return Dataset(
-        features=train.features,
-        response=train.latent,
-        event=np.ones(train.n, dtype=bool),
-        latent=train.latent,
-    )
+    ``plan`` lists ``(training rows, seed tag, node sizes)``. Each
+    replication simulates, per plan entry, a training and a test set of
+    the scenario's model and fits one forest per node size on the
+    training set. Training data, test data and forest draw from streams
+    0, 1 and 2 of ``_child_seed(spec.seed, rep, stream, *tag)``.
+    """
+    model = _SCENARIO_MODEL[spec.scenario]
+    rate = spec.censor_rate if spec.censor_rate is not None else _DEFAULT_RATE[model]
+    for rep in range(spec.replications):
+        for n, tag, sizes in plan:
+            train, test = (
+                simulate(SimConfig(model=model, n=size, censor_rate_param=rate,
+                                   seed=_child_seed(spec.seed, rep, stream, *tag)))
+                for stream, size in enumerate((n, spec.n_test))
+            )
+            for m in sizes:
+                fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2, *tag))
+                yield rep, m, train, test, fcfg, fit(train, fcfg)
 
 
 def _weights(forest, xmat):
@@ -192,27 +192,24 @@ def _crf_variants(spec, node_size):
     return ()
 
 
-def _run_model_scenario(spec, model, rows, threads):
-    rate = _censor_rate(spec, model)
+def _score_models(spec, rows, threads):
+    model = _SCENARIO_MODEL[spec.scenario]
     plain = spec.scenario != "survival-comparison"
-    for rep in range(spec.replications):
-        train, test = _simulate_pair(model, spec, rep, rate)
-        true_q = {tau: true_quantile(model, test.features, tau) for tau in spec.taus}
-        for m in _node_sizes(spec):
-            fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
-            weights = _weights(fit(train, fcfg, threads=threads), test.features)
-            tables = [(label, _qhat_table(weights, train, cfg)) for label, cfg in _crf_variants(spec, m)]
-            # plain weighted quantiles: of the observed response, and of the
-            # latent response under a forest refitted on it
-            if plain and "qrf" in spec.methods:
-                tables.append(("qrf", _weighted_quantile_table(weights, train.response, spec.taus)))
-            if plain and "qrf_oracle" in spec.methods:
-                oracle = fit(_oracle_dataset(train), fcfg, threads=threads)
-                oracle_q = _weighted_quantile_table(_weights(oracle, test.features), oracle.response, spec.taus)
-                tables.append(("qrf_oracle", oracle_q))
-            for label, q_hat in tables:
-                for j, tau in enumerate(spec.taus):
-                    _emit_scores(rows, spec.scenario, label, tau, m, rep, test, true_q[tau], q_hat[:, j])
+    for rep, m, train, test, fcfg, forest in _replications(spec, [(spec.n_train, (), _node_sizes(spec))]):
+        weights = _weights(forest, test.features)
+        tables = [(label, _qhat_table(weights, train, cfg, threads)) for label, cfg in _crf_variants(spec, m)]
+        # plain weighted quantiles: of the observed response, and of the
+        # latent response under a forest refitted on it
+        if plain and "qrf" in spec.methods:
+            tables.append(("qrf", _weighted_quantile_table(weights, train.response, spec.taus)))
+        if plain and "qrf_oracle" in spec.methods:
+            oracle = fit(replace(train, response=train.latent, event=np.ones(train.n, dtype=bool)), fcfg)
+            oracle_q = _weighted_quantile_table(_weights(oracle, test.features), oracle.response, spec.taus)
+            tables.append(("qrf_oracle", oracle_q))
+        true_q = [true_quantile(model, test.features, tau) for tau in spec.taus]
+        for label, q_hat in tables:
+            for j, tau in enumerate(spec.taus):
+                _emit_scores(rows, spec.scenario, label, tau, m, rep, test, true_q[j], q_hat[:, j])
 
 
 def _run_illustrative(spec, rows):
@@ -224,59 +221,44 @@ def _run_illustrative(spec, rows):
                 _emit(rows, spec.scenario, "u2", tau, n, rep, "root", u2)
 
 
-def _run_coverage(spec, rows, threads, level=0.95):
-    model = _SCENARIO_MODEL[spec.scenario]
-    rate = _censor_rate(spec, model)
+def _score_coverage(spec, rows, threads, level=0.95):
     alpha = (1.0 - level) / 2.0
     cfg = CqrConfig(taus=(alpha, 1.0 - alpha))
-    m = _node_sizes(spec)[0]
-    for rep in range(spec.replications):
-        train, test = _simulate_pair(model, spec, rep, rate)
-        fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2))
-        weights = _weights(fit(train, fcfg, threads=threads), test.features)
-        lo, hi = _qhat_table(weights, train, cfg).T
+    for rep, m, train, test, _, forest in _replications(spec, [(spec.n_train, (), _node_sizes(spec)[:1])]):
+        lo, hi = _qhat_table(_weights(forest, test.features), train, cfg, threads).T
         covered = (test.latent >= lo) & (test.latent <= hi)
         _emit(rows, spec.scenario, "crf", level, m, rep, "coverage", covered.mean())
         _emit(rows, spec.scenario, "crf", level, m, rep, "interval_width", (hi - lo).mean())
 
 
-def _run_runtime(spec, rows, threads):
-    model = _SCENARIO_MODEL[spec.scenario]
-    rate = _censor_rate(spec, model)
+def _score_runtime(spec, rows, threads):
     cfg = CqrConfig(taus=(0.5,))
-    for rep in range(spec.replications):
-        for n in _RUNTIME_SIZES:
-            m = max(1, n // 10)
-            train = simulate(
-                SimConfig(model=model, n=n, censor_rate_param=rate, seed=_child_seed(spec.seed, rep, 0, n))
-            )
-            test = simulate(
-                SimConfig(model=model, n=spec.n_test, censor_rate_param=rate, seed=_child_seed(spec.seed, rep, 1, n))
-            )
-            fcfg = ForestConfig(min_node_size=m, n_trees=spec.trees, seed=_child_seed(spec.seed, rep, 2, n))
-            forest = fit(train, fcfg, threads=threads)
-            start = time.perf_counter()
-            _qhat_table(_weights(forest, test.features), train, cfg)
-            elapsed = time.perf_counter() - start
-            _emit(rows, spec.scenario, "crf", 0.5, m, rep, "seconds_per_prediction", elapsed / test.n)
+    plan = [(n, (n,), (max(1, n // 10),)) for n in _RUNTIME_SIZES]
+    for rep, m, train, test, _, forest in _replications(spec, plan):
+        start = time.perf_counter()
+        _qhat_table(_weights(forest, test.features), train, cfg, threads)
+        elapsed = time.perf_counter() - start
+        _emit(rows, spec.scenario, "crf", 0.5, m, rep, "seconds_per_prediction", elapsed / test.n)
 
 
 def run(spec, out_dir, threads=1):
     """Execute a benchmark spec and write results.csv + aggregate.csv.
 
     Returns the two file paths. Tables are deterministic given (spec,
-    seed), runtime measurements excepted.
+    seed), runtime measurements excepted, and do not depend on
+    ``threads``: the worker threads of the crf root pass (forests are
+    grown serially).
     """
     check_threads(threads)
     rows = []
     if spec.scenario == "illustrative41":
         _run_illustrative(spec, rows)
     elif spec.scenario == "coverage":
-        _run_coverage(spec, rows, threads)
+        _score_coverage(spec, rows, threads)
     elif spec.scenario == "runtime-scaling":
-        _run_runtime(spec, rows, threads)
+        _score_runtime(spec, rows, threads)
     else:
-        _run_model_scenario(spec, _SCENARIO_MODEL[spec.scenario], rows, threads)
+        _score_models(spec, rows, threads)
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     with open(results_path, "w", newline="", encoding="utf-8") as fh:

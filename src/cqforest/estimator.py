@@ -28,7 +28,7 @@ are blocks of one over them.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .forest import (
     _blocks,
     _groups,
     _points,
+    _row,
     _Support,
     _take_rows,
     _weight_rows,
@@ -178,9 +179,9 @@ def _solve_rows(rows, data, cfg, taus, threads=1):
     return [solve(block) for block in blocks]
 
 
-def _qhat_table(rows, data, cfg):
+def _qhat_table(rows, data, cfg, threads=1):
     """(points, len(cfg.taus)) q_hat table from the points' weight rows."""
-    return np.concatenate([q for q, *_ in _solve_rows(rows, data, cfg, cfg.taus)])
+    return np.concatenate([q for q, *_ in _solve_rows(rows, data, cfg, cfg.taus, threads)])
 
 
 def _predictions(xmat, rows, data, cfg, taus, threads=1):
@@ -200,10 +201,19 @@ def predict_with_weights(x, w, data, cfg):
     pass; otherwise identical to ``predict_quantiles``.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    return _predictions(x[None, :], [(w.index, w.value)], data, cfg, cfg.taus)[0]
+    return _predictions(x[None, :], [_row(w, data.response)], data, cfg, cfg.taus)[0]
+
+
+def _check_data(forest, data):
+    """DataError unless ``data`` holds the responses and events the forest was fitted on or loaded with."""
+    if data.n != forest.n_train or not all(
+        a is b or np.array_equal(a, b) for a, b in ((data.response, forest.response), (data.event, forest.event))
+    ):
+        raise DataError("data is not the training data this forest was fitted on or loaded with")
 
 
 def _predict_points(forest, data, xmat, cfg, taus, threads=1):
+    _check_data(forest, data)
     xmat = _points(xmat, forest.n_features)
     return _predictions(xmat, _weight_rows(forest, xmat), data, cfg, taus, threads)
 
@@ -233,13 +243,7 @@ def predict_interval(forest, data, x, level, cfg=CqrConfig()):
     if not 0.0 < level < 1.0:
         raise DataError("level must lie in (0, 1)")
     alpha = (1.0 - level) / 2.0
-    grid = CqrConfig(
-        taus=(alpha, 1.0 - alpha),
-        survival=cfg.survival,
-        knn=cfg.knn,
-        search_radius=cfg.search_radius,
-    )
-    lo, hi = predict_quantiles(forest, data, x, grid)
+    lo, hi = predict_quantiles(forest, data, x, replace(cfg, taus=(alpha, 1.0 - alpha)))
     return lo.q_hat, hi.q_hat
 
 

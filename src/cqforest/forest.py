@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -152,6 +151,8 @@ def _views(nodes):
 class Forest:
     """A fitted forest bound to its training data.
 
+    ``response`` and ``event`` are the arrays of the data it was fitted
+    on or loaded with; the predictors take no other data.
     ``_nodes`` is the flat store holding every tree (filled group by
     group in ``fit``, read back whole by ``load_forest``), so the forest is
     held once and walked in one pass; ``trees`` is a list of per-tree
@@ -162,6 +163,7 @@ class Forest:
     n_train: int
     n_features: int
     response: np.ndarray
+    event: np.ndarray = field(repr=False, compare=False)
     checksum: str
     _nodes: _Nodes = field(repr=False, compare=False)
     feature_names: tuple | None = field(default=None)
@@ -390,12 +392,14 @@ def fit(data, cfg, threads=1, feature_names=None):
 
     Each tree draws its own bootstrap bag (n draws with replacement) and
     its own feature subsamples from an independent stream derived from
-    ``cfg.seed`` and the tree index, so results depend neither on thread
-    scheduling nor on how trees are grouped. Trees grow in lockstep
-    groups of about ``_GROUP_BYTES`` of bag store each (``_Group``);
-    ``threads > 1`` grows groups on a thread pool, and every group writes
-    its leaf rows straight into the forest's store. Censoring flags play
-    no role here.
+    ``cfg.seed`` and the tree index, so results do not depend on how
+    trees are grouped. Trees grow in lockstep groups of about
+    ``_GROUP_BYTES`` of bag store each (``_Group``), one group after
+    another, and every group writes its leaf rows straight into the
+    forest's store. ``threads`` must be at least 1 but growth is serial:
+    a thread pool over the groups ran slower than one thread, because a
+    group's Python bookkeeping holds the GIL. Censoring flags play no
+    role here.
     """
     check_threads(threads)
     if cfg.min_node_size > data.n:
@@ -411,16 +415,10 @@ def fit(data, cfg, threads=1, feature_names=None):
     y = np.append(y, 0.0)
     group = max(1, _GROUP_BYTES // (4 * n))  # trees per group, each with an int32 bag of n rows
     rows = np.empty(cfg.n_trees * n, dtype=np.int32)
-
-    def grow(lo):
-        hi = min(lo + group, cfg.n_trees)
-        return _Group(x, ranks, y, cfg, mtry, seeds[lo:hi]).grow(rows[lo * n : hi * n])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(grow, range(0, cfg.n_trees, group)))
-    else:
-        parts = [grow(lo) for lo in range(0, cfg.n_trees, group)]
+    parts = [
+        _Group(x, ranks, y, cfg, mtry, seeds[lo : lo + group]).grow(rows[lo * n : (lo + group) * n])
+        for lo in range(0, cfg.n_trees, group)
+    ]
     counts, feature, threshold, left, right, sizes = map(np.concatenate, zip(*parts))
     nodes = _Nodes(
         feature, threshold, left, right,
@@ -433,6 +431,7 @@ def fit(data, cfg, threads=1, feature_names=None):
         n_train=n,
         n_features=data.p,
         response=data.response,
+        event=data.event,
         checksum=data_checksum(data),
         _nodes=nodes,
         feature_names=tuple(feature_names) if feature_names else None,
@@ -650,7 +649,15 @@ class _Support:
     @classmethod
     def of(cls, w, y):
         """The block of one ``WeightVector`` over responses y."""
-        return cls([(w.index, w.value)], np.asarray(y, dtype=np.float64))
+        y = np.asarray(y, dtype=np.float64)
+        return cls([_row(w, y)], y)
+
+
+def _row(w, y):
+    """The (index, value) row of ``WeightVector`` w, else DataError if w does not span y's rows."""
+    if w.n != y.size:
+        raise DataError(f"weights span {w.n} rows, but there are {y.size} responses")
+    return w.index, w.value
 
 
 def _weighted_quantile_table(rows, y, taus):
@@ -694,7 +701,8 @@ def quantile_from_weights(w, y, tau):
     """
     scalar = np.ndim(tau) == 0
     taus = [check_tau(t) for t in ([tau] if scalar else tau)]
-    q = _weighted_quantile_table([(w.index, w.value)], np.asarray(y, dtype=np.float64), taus)[0]
+    y = np.asarray(y, dtype=np.float64)
+    q = _weighted_quantile_table([_row(w, y)], y, taus)[0]
     return float(q[0]) if scalar else q
 
 
@@ -864,6 +872,7 @@ def load_forest(path, data):
         n_train=data.n,
         n_features=data.p,
         response=data.response,
+        event=data.event,
         checksum=doc["checksum"],
         _nodes=nodes,
         feature_names=tuple(names) if names else None,

@@ -19,7 +19,7 @@ class EvalReport:
     """Per-(dataset, tau) evaluation summary.
 
     ``l_mse``/``l_mad`` are None when true quantiles are unavailable
-    (real data); ``c_index`` is None until filled from censored outcomes.
+    (real data).
     """
 
     tau: float
@@ -27,7 +27,6 @@ class EvalReport:
     l_mse: float | None = None
     l_mad: float | None = None
     l_quantile: float | None = None
-    c_index: float | None = None
 
 
 def pinball(u, tau):
@@ -55,8 +54,7 @@ def quantile_losses(truth_T, true_Q, pred_Q, tau):
     Returns
     -------
     EvalReport
-        With ``c_index`` unset; concordance needs the censored outcomes
-        and is computed separately.
+        Concordance needs the censored outcomes: see ``c_index``.
     """
     truth_T = np.asarray(truth_T, dtype=np.float64)
     pred_Q = np.asarray(pred_Q, dtype=np.float64)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError
-from .forest import WeightVector, _groups, _reversed_cumsum, _Support, _take_rows
+from .forest import WeightVector, _groups, _reversed_cumsum, _row, _Support, _take_rows
 
 
 class SurvivalCurve:
@@ -250,5 +250,6 @@ def km_knn(data, w, k):
     A localized variant of ``km``: restrict to the forest neighborhood
     of the test point, then weigh those rows equally.
     """
+    _row(w, data.response)
     rows = nearest_rows(w, k)
     return km(data.response[rows], data.event[rows])

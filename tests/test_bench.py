@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from cqforest.bench import (
     load_spec,
     run,
 )
+from cqforest import forest as forest_module
 from cqforest.data import DataError
 
 
@@ -191,3 +193,43 @@ class TestRun:
             if r["metric"] == "l_mse"
         }
         assert mse["qrf_oracle"] < mse["qrf"]
+
+
+# sha256 of results.csv then aggregate.csv for PINNED_SPEC, one per
+# deterministic scenario; the tables must not change while the
+# replication loop is refactored
+PINNED_SPEC = dict(replications=2, n_train=80, n_test=40, trees=8, seed=3, taus=(0.2, 0.5, 0.8))
+PINNED_SHA256 = {
+    "illustrative41": "2562ec3187e6fb43be78981a01403630dd3c64ee5c35f3003134e69363bc2df8",
+    "aft1d": "84a4b99aa00332e846cef77a6c98998cda9974f3957a7ffe17bbbcf82160988c",
+    "sine1d": "d6c87aa7d63decbd02cdea22d684132ca6b75aaa92ace4b231e5364bcf372cf9",
+    "aft-multi": "f55ff7d7bdce93ba3eaa578359c2ac4d5df5142f94150232ece7254869c4b21e",
+    "complex": "06e92c2d8a9e20c4a99a9475af8bd8fa0aeec0d5e1b5df61aa7c191baa47fc51",
+    "survival-comparison": "31b1e25102690b3cde17400bed9a9826df10ebdb87e24a04afbd1b9635c0e367",
+    "node-size-sweep": "faa38cd3c831d24d5e0f8ea91a9a84f7e9e50aab06458d5c2f63fd62494d3b3c",
+    "coverage": "5a32d6ae469739917536ac2d691ce6e169e33134b43d7f7aa1d74649e7c9cd8e",
+}
+
+
+def pinned_spec(scenario):
+    # coverage scores only the first node size, so give it two
+    node_sizes = (10, 20) if scenario == "coverage" else ()
+    return ExperimentSpec(scenario=scenario, node_sizes=node_sizes, **PINNED_SPEC)
+
+
+def table_bytes(out_dir, spec, threads=1):
+    return b"".join(Path(p).read_bytes() for p in run(spec, out_dir, threads=threads))
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("scenario", sorted(PINNED_SHA256))
+    def test_tables_match_pinned_digest(self, tmp_path, scenario):
+        digest = hashlib.sha256(table_bytes(tmp_path, pinned_spec(scenario))).hexdigest()
+        assert digest == PINNED_SHA256[scenario]
+
+    @pytest.mark.parametrize("scenario", ["aft1d", "survival-comparison", "coverage"])
+    def test_threads_do_not_change_tables(self, tmp_path, monkeypatch, scenario):
+        # small blocks, so the crf root pass hands several to each thread
+        monkeypatch.setattr(forest_module, "_BLOCK_CELLS", 1 << 9)
+        spec = pinned_spec(scenario)
+        assert table_bytes(tmp_path / "2", spec, threads=2) == table_bytes(tmp_path / "1", spec, threads=1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,13 @@ from cqforest.forest import (
     WeightVector,
     fit,
     forest_weights,
+    load_forest,
+    mass_above,
     quantile_from_weights,
+    save_forest,
     support_grid,
 )
-from cqforest.survival import beran_rf, km, nearest_rows
+from cqforest.survival import beran_rf, km, km_knn, nearest_rows
 
 from _oracles import score_direct
 
@@ -228,6 +233,13 @@ class TestGridPredictors:
         with pytest.raises(DataError):
             predict_interval(forest, d, [1.0], 1.0)
 
+    def test_interval_keeps_every_config_field(self, fitted):
+        d, forest = fitted
+        cfg = CqrConfig(taus=(0.5,), survival="km-knn", knn=20, search_radius=2.0)
+        lo, hi = predict_interval(forest, d, [1.0], 0.6, cfg)
+        grid = predict_quantiles(forest, d, [1.0], replace(cfg, taus=(0.2, 0.8)))
+        assert (lo, hi) == (grid[0].q_hat, grid[1].q_hat)
+
     def test_batch_matches_per_point(self, fitted):
         d, forest = fitted
         cfg = CqrConfig(taus=(0.25, 0.5, 0.75))
@@ -285,3 +297,88 @@ class TestScaleEquivariance:
             p2 = predict_quantiles(f2, scaled, x, grid)
             for a, b in zip(p1, p2):
                 assert b.q_hat == 2.0 * a.q_hat  # bitwise: doubling is exact
+
+
+def predictor_calls(forest, data):
+    cfg = CqrConfig(taus=(0.25, 0.75))
+    return [
+        lambda: predict_quantile(forest, data, [1.0], 0.5),
+        lambda: predict_quantiles(forest, data, [1.0], cfg),
+        lambda: predict_interval(forest, data, [1.0], 0.8),
+        lambda: predict_batch(forest, data, np.array([[0.5], [1.0]]), cfg),
+    ]
+
+
+class TestTrainingDataCheck:
+    """Predictors refuse data other than the forest's own, instead of answering from it."""
+
+    @pytest.fixture(scope="class")
+    def aft(self):
+        d = simulate(SimConfig(model="aft1d", n=200, censor_rate_param=0.08, seed=1))
+        return d, fit(d, ForestConfig(min_node_size=20, n_trees=50, seed=2))
+
+    @pytest.mark.parametrize("call", range(4))
+    def test_other_data_of_the_same_size(self, aft, call):
+        d, forest = aft
+        other = simulate(SimConfig(model="aft1d", n=200, censor_rate_param=0.08, seed=9))
+        with pytest.raises(DataError, match="not the training data"):
+            predictor_calls(forest, other)[call]()
+
+    @pytest.mark.parametrize("call", range(4))
+    def test_smaller_data(self, aft, call):
+        d, forest = aft
+        other = simulate(SimConfig(model="aft1d", n=120, censor_rate_param=0.08, seed=9))
+        with pytest.raises(DataError, match="not the training data"):
+            predictor_calls(forest, other)[call]()
+
+    def test_same_responses_other_events(self, aft):
+        d, forest = aft
+        other = Dataset(features=d.features, response=d.response, event=np.ones(d.n, dtype=bool))
+        with pytest.raises(DataError, match="not the training data"):
+            predict_quantiles(forest, other, [1.0], CqrConfig())
+
+    def test_equal_copy_is_accepted(self, aft):
+        d, forest = aft
+        copy = Dataset(features=d.features.copy(), response=d.response.copy(), event=d.event.copy())
+        cfg = CqrConfig(taus=(0.25, 0.5, 0.75))
+        expected = [p.q_hat for p in predict_quantiles(forest, d, [1.0], cfg)]
+        assert [p.q_hat for p in predict_quantiles(forest, copy, [1.0], cfg)] == expected
+
+    def test_loaded_forest_is_bound_to_its_data(self, aft, tmp_path):
+        d, forest = aft
+        save_forest(forest, tmp_path / "m.npz")
+        copy = Dataset(features=d.features.copy(), response=d.response.copy(), event=d.event.copy())
+        loaded = load_forest(tmp_path / "m.npz", copy)
+        assert loaded.response is copy.response and loaded.event is copy.event
+        expected = predict_quantiles(forest, d, [1.0], CqrConfig())[0].q_hat
+        assert predict_quantiles(loaded, copy, [1.0], CqrConfig())[0].q_hat == expected
+        with pytest.raises(DataError, match="not the training data"):
+            predict_quantiles(loaded, replace(copy, event=np.ones(d.n, dtype=bool)), [1.0], CqrConfig())
+
+
+class TestWeightLengthCheck:
+    """A WeightVector over n rows is refused against responses of another length."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return simulate(SimConfig(model="aft1d", n=200, censor_rate_param=0.08, seed=1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w, d: predict_with_weights([1.0], w, d, CqrConfig()),
+            lambda w, d: quantile_from_weights(w, d.response, 0.5),
+            lambda w, d: support_grid(w, d.response),
+            lambda w, d: mass_above(w, d.response, 1.0),
+            lambda w, d: candidate_set(w, d.response, "beran-rf"),
+            lambda w, d: candidate_set(w, d.response, "km-knn", k=10),
+            lambda w, d: beran_rf(d, w),
+            lambda w, d: km_knn(d, w, 10),
+        ],
+        ids=["predict_with_weights", "quantile_from_weights", "support_grid", "mass_above",
+             "candidate_set", "candidate_set_knn", "beran_rf", "km_knn"],
+    )
+    @pytest.mark.parametrize("n", [50, 250])
+    def test_wrong_length_weights(self, data, call, n):
+        with pytest.raises(DataError, match="weights span"):
+            call(WeightVector.uniform(n), data)

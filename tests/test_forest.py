@@ -150,7 +150,7 @@ class TestGrowth:
         assert_threads_agree()
 
     def test_threads_map_groups_without_changing_result(self, monkeypatch):
-        # 12 trees in groups of 5, 5 and 2, spread over the pool
+        # 12 trees in groups of 5, 5 and 2, grown one group after another
         monkeypatch.setattr(forest_module, "_GROUP_BYTES", 5 * 4 * 150)
         assert_threads_agree()
 
