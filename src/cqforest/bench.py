@@ -17,14 +17,13 @@ Everything is seeded: one spec plus one seed yields identical tables,
 except for the wall-clock values measured by runtime-scaling.
 """
 
-import csv
 import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, SimConfig, check_taus, check_threads, open_utf8, simulate, true_quantile
+from .data import DataError, Dataset, SimConfig, check_taus, check_threads, open_utf8, simulate, true_quantile, write_table
 from .estimator import CqrConfig, _qhat_table, predict_with_weights
 from .forest import ForestConfig, WeightVector, _points, _weight_rows, _weighted_quantile_table, fit, quantile_from_weights
 from .metrics import c_index, quantile_losses
@@ -261,24 +260,21 @@ def run(spec, out_dir, threads=1):
         _score_models(spec, rows, threads)
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "method", "tau", "node_size", "replication", "metric", "value"])
-        for scenario, method, tau, node_size, rep, metric, value in rows:
-            writer.writerow([scenario, method, repr(float(tau)), node_size, rep, metric, repr(value)])
+    results = (
+        [scenario, method, repr(float(tau)), node_size, rep, metric, repr(value)]
+        for scenario, method, tau, node_size, rep, metric, value in rows
+    )
+    write_table(results_path, ["scenario", "method", "tau", "node_size", "replication", "metric", "value"], results)
     groups = {}
     for scenario, method, tau, node_size, rep, metric, value in rows:
         groups.setdefault((scenario, method, tau, node_size, metric), []).append(value)
+    aggregate = []
+    for (scenario, method, tau, node_size, metric), values in groups.items():
+        arr = np.asarray(values)
+        sd = repr(float(arr.std(ddof=1))) if arr.size > 1 else ""
+        aggregate.append([scenario, method, repr(float(tau)), node_size, metric, repr(float(arr.mean())), sd, arr.size])
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    with open(aggregate_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "method", "tau", "node_size", "metric", "mean", "sd", "n_reps"])
-        for (scenario, method, tau, node_size, metric), values in groups.items():
-            arr = np.asarray(values)
-            sd = repr(float(arr.std(ddof=1))) if arr.size > 1 else ""
-            writer.writerow(
-                [scenario, method, repr(float(tau)), node_size, metric, repr(float(arr.mean())), sd, arr.size]
-            )
+    write_table(aggregate_path, ["scenario", "method", "tau", "node_size", "metric", "mean", "sd", "n_reps"], aggregate)
     return results_path, aggregate_path
 
 

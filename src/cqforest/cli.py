@@ -6,7 +6,6 @@ randomness flows from --seed flags, and exit codes are 0 (success),
 """
 
 import argparse
-import csv
 import math
 import sys
 
@@ -20,10 +19,10 @@ from .data import (
     _read_dataset,
     load_csv,
     load_features_csv,
-    open_utf8,
-    read_header,
+    read_table,
     simulate,
     write_csv,
+    write_table,
 )
 from .estimator import CqrConfig, predict_batch
 from .forest import ForestConfig, fit, load_forest, save_forest
@@ -78,40 +77,32 @@ def _cmd_predict(args):
     mode, k = args.survival
     cfg = CqrConfig(taus=args.taus, survival=mode, knn=k)
     preds = predict_batch(forest, data, xmat, cfg, threads=args.threads)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "tau", "q_hat", "residual", "degenerate_tail"])
-        for i, per_point in enumerate(preds):
-            for p in per_point:
-                writer.writerow([i, repr(p.tau), repr(p.q_hat), repr(p.residual), int(p.degenerate_tail)])
+    rows = (
+        [i, repr(p.tau), repr(p.q_hat), repr(p.residual), int(p.degenerate_tail)] for i, ps in enumerate(preds) for p in ps
+    )
+    write_table(args.out, ["row", "tau", "q_hat", "residual", "degenerate_tail"], rows)
     print(f"wrote {len(preds) * len(cfg.taus)} predictions to {args.out}")
     return 0
 
 
 def _read_predictions(path):
-    with open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        header = read_header(path, reader)
-        for name in ("row", "tau", "q_hat"):
-            if name not in header:
-                raise DataError(f"{path}: missing column {name!r}")
-        irow, itau, iq = header.index("row"), header.index("tau"), header.index("q_hat")
-        table = {}
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                row, tau, q = int(rec[irow]), float(rec[itau]), float(rec[iq])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed prediction row") from None
-            if not (math.isfinite(tau) and math.isfinite(q)):
-                raise DataError(f"{path}:{lineno}: tau and q_hat must be finite")
-            per_tau = table.setdefault(tau, {})
-            if row in per_tau:
-                raise DataError(f"{path}:{lineno}: repeated prediction for row {row} at tau {tau!r}")
-            per_tau[row] = q
-    if not table:
-        raise DataError(f"{path}: no prediction rows")
+    header, lines, rows = read_table(path)
+    for name in ("row", "tau", "q_hat"):
+        if name not in header:
+            raise DataError(f"{path}: missing column {name!r}")
+    irow, itau, iq = header.index("row"), header.index("tau"), header.index("q_hat")
+    table = {}
+    for lineno, rec in zip(lines, rows):
+        try:
+            row, tau, q = int(rec[irow]), float(rec[itau]), float(rec[iq])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed prediction row") from None
+        if not (math.isfinite(tau) and math.isfinite(q)):
+            raise DataError(f"{path}:{lineno}: tau and q_hat must be finite")
+        per_tau = table.setdefault(tau, {})
+        if row in per_tau:
+            raise DataError(f"{path}:{lineno}: repeated prediction for row {row} at tau {tau!r}")
+        per_tau[row] = q
     return table
 
 
@@ -120,7 +111,7 @@ def _cmd_evaluate(args):
     truth = load_csv(args.truth)
     taus = args.taus if args.taus is not None else tuple(sorted(table))
     truth_t = truth.latent if truth.latent is not None else truth.response
-    reports = []
+    rows = []
     for tau in taus:
         if tau not in table:
             raise DataError(f"{args.pred}: no predictions for tau={tau!r}")
@@ -129,23 +120,14 @@ def _cmd_evaluate(args):
             raise DataError(f"{args.pred}: prediction rows for tau={tau!r} do not match truth rows")
         pred = np.array([per_row[i] for i in range(truth.n)])
         report = quantile_losses(truth_t, None, pred, tau)
-        cidx = c_index(pred, truth.response, truth.event)
-        reports.append((report, cidx))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "n_test", "l_mse", "l_mad", "l_quantile", "c_index"])
-        for report, cidx in reports:
-            writer.writerow(
-                [
-                    repr(report.tau),
-                    report.n_test,
-                    "" if report.l_mse is None else repr(report.l_mse),
-                    "" if report.l_mad is None else repr(report.l_mad),
-                    repr(report.l_quantile),
-                    repr(cidx),
-                ]
-            )
-    print(f"wrote {len(reports)} evaluation rows to {args.out}")
+        try:
+            cidx = repr(c_index(pred, truth.response, truth.event))
+        except DataError:  # no usable pair: the c-index is undefined, the losses are not
+            cidx = ""
+        losses = ("" if v is None else repr(v) for v in (report.l_mse, report.l_mad))
+        rows.append([repr(report.tau), report.n_test, *losses, repr(report.l_quantile), cidx])
+    write_table(args.out, ["tau", "n_test", "l_mse", "l_mad", "l_quantile", "c_index"], rows)
+    print(f"wrote {len(rows)} evaluation rows to {args.out}")
     return 0
 
 

@@ -21,13 +21,12 @@ product-limit ``_beran_rf`` and the count product-limit ``_km``. Each
 public function is a block of one over them.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, write_table
 from .forest import WeightVector, _groups, _reversed_cumsum, _row, _Support, _take_rows
 
 
@@ -64,11 +63,8 @@ class SurvivalCurve:
 
     def to_csv(self, path):
         """Write the jumps as two columns (jump_time, value) for plotting."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["jump_time", "value"])
-            for t, v in zip(self.jump_times, self.values):
-                writer.writerow([repr(float(t)), repr(float(v))])
+        rows = ([repr(float(t)), repr(float(v))] for t, v in zip(self.jump_times, self.values))
+        write_table(path, ["jump_time", "value"], rows)
 
     def __eq__(self, other):
         if not isinstance(other, SurvivalCurve):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import zipfile
 from pathlib import Path
@@ -207,6 +208,56 @@ class TestExitCodes:
         assert f"{pred}:5: tau and q_hat must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_evaluate_ragged_prediction_rows_exit_3(self, tmp_path, capsys):
+        truth = simulate(SimConfig(model="aft1d", n=3, censor_rate_param=0.08, seed=4))
+        write_csv(tmp_path / "t.csv", truth)
+        pred = tmp_path / "p.csv"
+        pred.write_text("row,tau,q_hat,residual\n" + "".join(f"{i},0.5,1.0\n" for i in range(3)))
+        out = tmp_path / "e.csv"
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(tmp_path / "t.csv"), "--out", str(out)]) == 3
+        assert f"{pred}:2: expected 4 cells, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_evaluate_without_usable_pairs_leaves_c_index_empty(tmp_path):
+    # every truth row censored: no pair can be ranked, but the losses are defined
+    truth = tmp_path / "t.csv"
+    truth.write_text("x1,y,delta\n" + "".join(f"{i},{i + 1}.5,0\n" for i in range(4)))
+    pred = tmp_path / "p.csv"
+    pred.write_text("row,tau,q_hat\n" + "".join(f"{i},0.5,{i}.0\n" for i in range(4)))
+    out = tmp_path / "e.csv"
+    assert main(["evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]) == 0
+    [rec] = read_rows(out)
+    assert rec["n_test"] == "4" and float(rec["l_quantile"]) > 0
+    assert rec["l_mse"] == rec["l_mad"] == rec["c_index"] == ""
+
+
+# each CLI command writing a file, on a small pipeline; the sha256 of the files
+# were recorded before the CSV reading and writing moved into data.py
+PINNED_RUNS = [
+    "simulate --model aft1d --n 60 --lambda 0.08 --seed 3 --out {d}/train.csv",
+    "simulate --model aft1d --n 12 --lambda 0.08 --seed 4 --out {d}/truth.csv",
+    "fit --data {d}/train.csv --trees 6 --node-size 8 --seed 5 --model-out {d}/model.npz",
+    "predict --model {d}/model.npz --data {d}/train.csv --features {d}/truth.csv --taus 0.25,0.5,0.75 --out {d}/pred.csv",
+    "predict --model {d}/model.npz --data {d}/train.csv --features {d}/truth.csv --taus 0.5 --survival km-knn:10 "
+    "--out {d}/knn.csv",
+    "evaluate --pred {d}/pred.csv --truth {d}/truth.csv --out {d}/eval.csv",
+]
+PINNED_SHA256 = {
+    "eval.csv": "3ff0799e9e74c10305b3537374853120b013ba846d26f2849c52d84b859c66dc",
+    "knn.csv": "030566a7fad85972e914ed8c33b0690a69792811ffc4b4f21495db12918c433b",
+    "model.npz": "7df56689c14de16eacda9b36aff4d24ccf52066af2d940d45ec5a2df61235459",
+    "pred.csv": "130bd8ae98abd3c9ea5b051585e1e26110c87f4c4635dcea6809caba98bf5166",
+    "train.csv": "0208fbef1667232716b9ebb84761536d832a6ef526e6b78008a90b374350afe6",
+    "truth.csv": "b263bcaca6374d225a824e7d6c3886809a5f889737c9ef07414dd736364a29b6",
+}
+
+
+def test_output_files_match_pinned_digests(tmp_path):
+    for argv in PINNED_RUNS:
+        assert main(argv.format(d=tmp_path).split()) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == PINNED_SHA256
+
 
 def with_repeated_column(good, bad, rows=None):
     """Copy the first ``rows`` data rows of a CSV, adding a second column named like its first."""
@@ -261,7 +312,6 @@ DATA_READS = [
 
 @pytest.mark.parametrize("command,argv,reads", DATA_READS, ids=[c[0] for c in DATA_READS])
 def test_each_data_csv_is_opened_once(workspace, tmp_path, monkeypatch, command, argv, reads):
-    import cqforest.cli as cli_module
     import cqforest.data as data_module
 
     # evaluate needs truth rows that line up with the 3 predicted rows
@@ -274,8 +324,8 @@ def test_each_data_csv_is_opened_once(workspace, tmp_path, monkeypatch, command,
         opened.append(Path(path).name)
         return real(path)
 
+    # every CSV read goes through data.read_table, so patching data's open_utf8 sees them all
     monkeypatch.setattr(data_module, "open_utf8", counting)
-    monkeypatch.setattr(cli_module, "open_utf8", counting)
     assert main(argv.format(ws=workspace, tmp=tmp_path).split()) == 0
     assert sorted(opened) == sorted(reads)
 

@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -239,3 +242,74 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "absent.csv", CsvSchema(features=("x1",)))
+
+    @pytest.mark.parametrize(
+        "column, cell, msg",
+        [
+            ("y", "abc", "non-numeric cell 'abc' in column 'y'"),
+            ("y", "", "missing value in column 'y'"),
+            ("x1", "inf", "non-finite value in column 'x1'"),
+            ("delta", "2", "invalid event flag '2' in column 'delta'"),
+        ],
+    )
+    def test_cell_error_names_physical_line(self, tmp_path, column, cell, msg):
+        # a quoted cell spanning lines 2-3 and a blank line 4 come before the bad cell on line 5
+        rec = {"x1": "3.0", "y": "2.0", "delta": "1", column: cell}
+        path = tmp_path / "d.csv"
+        path.write_text('x1,y,delta\n"1.0\n",2.0,1\n\n' + ",".join(rec.values()) + "\n")
+        expected = f"^{re.escape(f'{path}:5: {msg}')}$"
+        with pytest.raises(DataError, match=expected):
+            load_csv(path)
+        if column == "x1":
+            with pytest.raises(DataError, match=expected):
+                load_features_csv(path)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("latent", [True, False])
+    def test_write_csv_reads_back(self, tmp_path, model, latent):
+        d = simulate(SimConfig(model=model, n=20, censor_rate_param=0.1, seed=5))
+        if not latent:
+            d = Dataset(features=d.features, response=d.response, event=d.event)
+        names = [f"f{j}" for j in range(d.p)]
+        for path, feature_names in ((tmp_path / "a.csv", None), (tmp_path / "b.csv", names)):
+            write_csv(path, d, feature_names)
+            schema = detect_schema(path)
+            back = load_csv(path)
+            assert back.p == d.p and len(schema.features) == d.p
+            assert (schema.latent == "latent") == latent
+            assert np.array_equal(back.features, d.features) and np.array_equal(back.event, d.event)
+            assert np.array_equal(back.response, d.response)
+            assert (back.latent is None) if not latent else np.array_equal(back.latent, d.latent)
+
+    def test_oversized_cell_is_a_data_error(self, tmp_path):
+        # the csv module refuses a cell beyond its field size limit (131072 characters)
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y,delta\n" + "1" * 200_000 + ",2.0,1\n")
+        for read in (load_csv, load_features_csv):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: malformed CSV"):
+                read(path)
+        path.write_text("x1" * 100_000 + ",y,delta\n1,2,1\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: malformed CSV"):
+            detect_schema(path)
+
+    def test_features_csv_without_feature_columns(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("y,delta\n1.0,1\n")
+        with pytest.raises(DataError, match="no feature columns found"):
+            load_features_csv(path)
+
+
+def test_csv_module_is_imported_only_by_data():
+    src = Path(data_module.__file__).parent
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "csv" or name.startswith("csv.") for name in names):
+                importers.add(path.name)
+    assert importers == {"data.py"}

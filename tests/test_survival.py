@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ class TestCurve:
         path = tmp_path / "curve.csv"
         c.to_csv(path)
         assert path.read_text().splitlines() == ["jump_time,value", "1.5,0.75", "3.0,0.5"]
+
+    def test_csv_export_matches_pinned_digest(self, tmp_path):
+        # sha256 recorded before the CSV writing moved into data.write_table
+        data = simulate(SimConfig(model="aft1d", n=40, censor_rate_param=0.3, seed=1))
+        path = tmp_path / "curve.csv"
+        km(data.response, data.event).to_csv(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "5b6292e21853b923f4f09fcdddaff02c6200cc34cfeef461e701e7fc962d281f"
 
 
 class TestKm:
