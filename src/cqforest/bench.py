@@ -17,13 +17,14 @@ Everything is seeded: one spec plus one seed yields identical tables,
 except for the wall-clock values measured by runtime-scaling.
 """
 
+import math
 import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, SimConfig, check_taus, check_threads, open_utf8, simulate, true_quantile, write_table
+from .data import DataError, Dataset, SimConfig, check_int, check_taus, open_utf8, simulate, true_quantile, write_table
 from .estimator import CqrConfig, _qhat_table, predict_with_weights
 from .forest import ForestConfig, WeightVector, _points, _weight_rows, _weighted_quantile_table, fit, quantile_from_weights
 from .metrics import c_index, quantile_losses
@@ -78,23 +79,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise DataError(f"unknown scenario {self.scenario!r}")
-        if self.replications < 1:
-            raise DataError("replications must be >= 1")
-        if self.n_train < 1 or self.n_test < 1:
-            raise DataError("n_train and n_test must be positive")
-        if self.trees < 1:
-            raise DataError("trees must be >= 1")
+        for name, low in (("replications", 1), ("n_train", 1), ("n_test", 1), ("trees", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "taus", check_taus(self.taus))
-        sizes = tuple(int(m) for m in self.node_sizes)
-        if any(m < 1 for m in sizes):
-            raise DataError("node sizes must be positive")
-        object.__setattr__(self, "node_sizes", sizes)
+        object.__setattr__(self, "node_sizes", tuple(check_int("node size", m, 1) for m in self.node_sizes))
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):
             raise DataError(f"methods must be a nonempty subset of {METHODS}")
         object.__setattr__(self, "methods", methods)
-        if self.censor_rate is not None and not self.censor_rate > 0:
-            raise DataError("censor_rate must be positive")
+        if self.censor_rate is not None and not 0 < self.censor_rate < math.inf:
+            raise DataError("censor_rate must be finite and positive")
 
 
 def _child_seed(*parts):
@@ -248,7 +242,7 @@ def run(spec, out_dir, threads=1):
     ``threads``: the worker threads of the crf root pass (forests are
     grown serially).
     """
-    check_threads(threads)
+    check_int("threads", threads, 1)
     rows = []
     if spec.scenario == "illustrative41":
         _run_illustrative(spec, rows)

@@ -40,10 +40,17 @@ def check_taus(taus):
     return taus
 
 
-def check_threads(threads):
-    """DataError unless the thread count is at least 1."""
-    if threads < 1:
-        raise DataError(f"threads must be >= 1, got {threads!r}")
+def check_int(name, value, low):
+    """``value`` as a Python int, or DataError unless it is an integer (not a bool) and at least ``low``.
+
+    numpy integers are accepted, so a config read from arrays saves and
+    loads like one written by hand.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DataError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 MODELS = ("aft1d", "sine1d", "aft-multi", "complex")
@@ -136,12 +143,12 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise DataError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.n < 1:
-            raise DataError("n must be >= 1")
-        if not self.censor_rate_param > 0:
-            raise DataError("censor_rate_param must be > 0")
-        if not self.noise_sd > 0:
-            raise DataError("noise_sd must be > 0")
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
+        if not 0 < self.censor_rate_param < math.inf:
+            raise DataError("censor_rate_param must be finite and > 0")
+        if not 0 < self.noise_sd < math.inf:
+            raise DataError("noise_sd must be finite and > 0")
 
 
 def model_dim(model):
@@ -259,16 +266,16 @@ def open_utf8(path):
 def read_table(path):
     """The header, line numbers and rows of a headered CSV, read in one pass.
 
-    Blank lines are skipped, and every other row must be as wide as the
-    header. ``lines[i]`` is the physical line that ``rows[i]`` ends on, so
-    errors can name it as ``path:line:``.
+    Blank lines are skipped, above the header too, and every other row
+    must be as wide as the header. ``lines[i]`` is the physical line that
+    ``rows[i]`` ends on, so errors can name it as ``path:line:``.
     """
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = read_header(path, reader)
         lines, rows = [], []  # not one list of pairs: 5,000 pair tuples left `fit` 1.3 MiB more peak RSS
         for rec in reader:
-            if not rec or (len(rec) == 1 and not rec[0].strip()):
+            if _blank(rec):
                 continue
             if len(rec) != len(header):
                 raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(rec)}")
@@ -333,12 +340,17 @@ def _read_dataset(path, schema=None):
     return schema, dataset
 
 
+def _blank(rec):
+    """Whether a csv record is a blank line (no cells, or one cell of whitespace)."""
+    return not rec or (len(rec) == 1 and not rec[0].strip())
+
+
 def read_header(path, reader):
-    """The next row of a csv reader as stripped column names, each given once."""
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+    """The next row of a csv reader that is not blank, as stripped column names, each given once."""
+    rec = next((rec for rec in reader if not _blank(rec)), None)
+    if rec is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in rec]
     seen = set()
     for name in header:
         if name in seen:

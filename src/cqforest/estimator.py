@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, check_tau, check_taus, check_threads
+from .data import DataError, check_int, check_tau, check_taus
 from .forest import (
     WeightVector,
     _blocks,
@@ -70,8 +70,7 @@ class CqrConfig:
         if self.survival not in SURVIVAL_MODES:
             raise DataError(f"unknown survival mode {self.survival!r}")
         if self.survival == "km-knn":
-            if self.knn is None or self.knn < 1:
-                raise DataError("km-knn mode requires knn >= 1")
+            object.__setattr__(self, "knn", check_int("knn", self.knn, 1))
         elif self.knn is not None:
             raise DataError("knn only applies to km-knn mode")
         object.__setattr__(self, "taus", check_taus(self.taus))
@@ -258,5 +257,5 @@ def predict_batch(forest, data, xmat, cfg, threads=1):
     the same results; a block's numpy calls are large enough to release
     the GIL for most of their time, so the pool can use several cores.
     """
-    check_threads(threads)
+    check_int("threads", threads, 1)
     return _predict_points(forest, data, xmat, cfg, cfg.taus, threads)

@@ -41,11 +41,23 @@ class TestSpec:
             dict(scenario="aft1d", methods=("crf", "boost")),
             dict(scenario="aft1d", methods=()),
             dict(scenario="aft1d", censor_rate=0.0),
+            dict(scenario="aft1d", censor_rate=float("inf")),
+            dict(scenario="aft1d", censor_rate=float("nan")),
+            dict(scenario="aft1d", seed=-1),
+            dict(scenario="aft1d", node_sizes=(2.5,)),
+            dict(scenario="aft1d", node_sizes=(True,)),
+            dict(scenario="aft1d", replications=2.0),
+            dict(scenario="aft1d", n_test=True),
         ],
     )
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(DataError):
             ExperimentSpec(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = ExperimentSpec(scenario="aft1d", trees=np.int64(3), seed=np.uint32(4), node_sizes=(np.int16(5),))
+        assert (spec.trees, spec.seed, spec.node_sizes) == (3, 4, (5,))
+        assert all(type(v) is int for v in (spec.trees, spec.seed, *spec.node_sizes))
 
 
 class TestLoadSpec:

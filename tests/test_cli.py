@@ -301,6 +301,39 @@ def test_threads_below_one_exit_3(workspace, tmp_path, capsys, command, threads)
     assert not any(tmp_path.glob("m.bin")) and not any(tmp_path.glob("p.csv")) and not any(tmp_path.glob("out"))
 
 
+SPEC = "scenario = aft1d\nreplications = 1\nn_train = 20\nn_test = 4\ntrees = 2\n"
+# (case, argv, spec line, message) of a number out of its range
+OUT_OF_RANGE = [
+    ("simulate-seed", "simulate --model aft1d --n 10 --lambda 0.1 --seed -1 --out {tmp}/d.csv", "",
+     "seed must be >= 0, got -1"),
+    ("fit-seed", "fit --data {ws}/train.csv --trees 2 --seed -1 --model-out {tmp}/m.bin", "",
+     "seed must be >= 0, got -1"),
+    ("bench-seed", "bench --spec {tmp}/s.spec --out-dir {tmp}/out", "seed = -1", "seed must be >= 0, got -1"),
+    ("simulate-lambda-inf", "simulate --model aft1d --n 10 --lambda inf --out {tmp}/d.csv", "",
+     "censor_rate_param must be finite and > 0"),
+    ("simulate-lambda-nan", "simulate --model aft1d --n 10 --lambda nan --out {tmp}/d.csv", "",
+     "censor_rate_param must be finite and > 0"),
+    ("bench-censor-rate-inf", "bench --spec {tmp}/s.spec --out-dir {tmp}/out", "censor_rate = inf",
+     "censor_rate must be finite and positive"),
+]
+
+
+@pytest.mark.parametrize("case,argv,line,message", OUT_OF_RANGE, ids=[c[0] for c in OUT_OF_RANGE])
+def test_number_out_of_range_exits_3(workspace, tmp_path, capsys, case, argv, line, message):
+    (tmp_path / "s.spec").write_text(SPEC + line + "\n")
+    assert main(argv.format(ws=workspace, tmp=tmp_path).split()) == 3
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.spec"]
+
+
+def test_blank_first_line_fits_as_if_absent(workspace, tmp_path):
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n" + (workspace / "train.csv").read_text(encoding="utf-8"), encoding="utf-8")
+    for data, model in ((workspace / "train.csv", "plain.npz"), (padded, "padded.npz")):
+        assert main(["fit", "--data", str(data), "--trees", "3", "--model-out", str(tmp_path / model)]) == 0
+    assert (tmp_path / "plain.npz").read_bytes() == (tmp_path / "padded.npz").read_bytes()
+
+
 # (command, argv, the data CSVs it reads)
 DATA_READS = [
     ("fit", "fit --data {ws}/train.csv --trees 2 --model-out {tmp}/m.bin", ["train.csv"]),

@@ -3,8 +3,8 @@
 Each example damages one CSV that ``fit``, ``predict`` or ``evaluate`` reads,
 runs the command on it, and requires exit 0, or exit 3 with an error that
 names the damaged file. A ragged row, a repeated column name or a byte that
-is not UTF-8 must exit 3; a blank line after the header, or a cell quoted
-over two lines, must change nothing in the output.
+is not UTF-8 must exit 3; a blank line anywhere, above the header too, or a
+cell quoted over two lines, must change nothing in the output.
 """
 
 import contextlib
@@ -113,6 +113,6 @@ def test_damaged_input_exits_0_or_3_naming_the_file(workspace, case, damage):
     kind, at = damage[:2]
     if kind in ("short", "long", "repeat", "byte"):
         assert code == 3
-    if kind == "quote" or (kind == "blank" and at % len(text.splitlines()) > 0):
+    if kind in ("quote", "blank"):
         assert code == 0, err
         assert out.read_bytes() == expected.read_bytes()

@@ -1,0 +1,149 @@
+"""Property tests of the integer and real-number contracts of every config.
+
+Each CLI example sets one numeric flag of a command that succeeds as given,
+or one numeric key of a bench spec, to a drawn integer, float or special
+value; the run must exit 0, 2 or 3 and never 4. Sizes stay small (``--n``
+up to 60, ``--trees`` up to 4, bench runs of a few dozen rows), so large
+values of those flags are not tried. Every ``ForestConfig`` that ``fit``
+accepts, numpy scalars included, must save and load back equal, with
+Python field types.
+"""
+
+import contextlib
+import io
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cqforest.cli import main  # noqa: E402
+from cqforest.data import DataError, SimConfig, simulate  # noqa: E402
+from cqforest.forest import ForestConfig, fit, load_forest, save_forest  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config_fuzz")
+    for argv in [
+        "simulate --model aft-multi --n 40 --lambda 0.08 --seed 3 --out {d}/train.csv",
+        "fit --data {d}/train.csv --trees 2 --node-size 5 --seed 5 --model-out {d}/model.npz",
+    ]:
+        assert main(argv.format(d=root).split()) == 0
+    return root
+
+
+PREDICT = "predict --model {ws}/model.npz --data {ws}/train.csv --features {ws}/train.csv --out {out} "
+
+
+def number(low, high):
+    """Flag text: an integer in [low, high], a float or a special value."""
+    return st.one_of(
+        st.integers(low, high).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e-320", "-0.0", "1e308", "0.5", "2.5"]),
+    )
+
+
+def numbers(low, high):
+    """One to three comma-separated ``number`` texts."""
+    return st.lists(number(low, high), min_size=1, max_size=3).map(",".join)
+
+
+# one numeric flag of a command that succeeds as given, with {v} in place of
+# its value, and the values drawn for it
+FLAGS = [
+    ("simulate --model aft1d --n {v} --lambda 0.1 --seed 1 --out {out}", number(-2, 60)),
+    ("simulate --model aft1d --n 20 --lambda {v} --seed 1 --out {out}", number(-1, 3)),
+    ("simulate --model aft1d --n 20 --lambda 0.1 --seed {v} --out {out}", number(-(2**70), 2**70)),
+    ("fit --data {ws}/train.csv --trees {v} --node-size 5 --model-out {out}", number(-2, 4)),
+    ("fit --data {ws}/train.csv --trees 2 --node-size {v} --model-out {out}", number(-2, 45)),
+    ("fit --data {ws}/train.csv --trees 2 --mtry {v} --model-out {out}", number(-2, 7)),
+    ("fit --data {ws}/train.csv --trees 2 --seed {v} --model-out {out}", number(-(2**70), 2**70)),
+    ("fit --data {ws}/train.csv --trees 2 --threads {v} --model-out {out}", number(-2, 3)),
+    (PREDICT + "--taus {v}", numbers(-1, 2)),
+    (PREDICT + "--taus 0.5 --survival km-knn:{v}", number(-2, 45)),
+    (PREDICT + "--taus 0.5 --threads {v}", number(-2, 3)),
+]
+# a spec that runs as given, and each numeric key with the values drawn for it
+SPEC = ["replications = 1", "n_train = 20", "n_test = 4", "trees = 2"]
+SPEC_KEYS = [
+    ("replications", number(-1, 2)), ("n_train", number(-1, 30)), ("n_test", number(-1, 8)),
+    ("trees", number(-1, 3)), ("seed", number(-(2**70), 2**70)), ("censor_rate", number(-1, 2)),
+    ("taus", numbers(-1, 2)), ("node_sizes", numbers(-1, 35)),
+]
+
+
+def drawn(cases):
+    """A ``(template, value)`` pair for one of ``cases``' ``(template, strategy)``."""
+    return st.sampled_from(cases).flatmap(lambda case: st.tuples(st.just(case[0]), case[1]))
+
+
+def run(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(case=drawn(FLAGS))
+def test_numeric_flag_exits_0_2_or_3(workspace, case):
+    argv, value = case
+    code, err = run(argv.format(ws=workspace, out=workspace / "out", v=value))
+    assert code in (0, 2, 3), err
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(scenario=st.sampled_from(["aft1d", "aft-multi", "coverage", "survival-comparison"]),
+       entry=drawn(SPEC_KEYS))
+def test_numeric_spec_value_exits_0_or_3(workspace, scenario, entry):
+    key, value = entry
+    lines = [f"scenario = {scenario}", *(line for line in SPEC if not line.startswith(key)), f"{key} = {value}"]
+    path = workspace / "fuzz.spec"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = run(f"bench --spec {path} --out-dir {workspace / 'bench_out'}")
+    assert code in (0, 3), err
+
+
+def as_int(values):
+    """An integer from ``values``, as a Python int or as one of numpy's integer types that holds it."""
+    return values.flatmap(
+        lambda v: st.sampled_from([int, np.int64, np.uint64] + ([np.int8, np.uint16, np.int32] if v < 128 else []))
+        .map(lambda kind: kind(v))
+    )
+
+
+CONFIGS = st.fixed_dictionaries({
+    "min_node_size": as_int(st.integers(1, 12)),
+    "n_trees": as_int(st.integers(1, 3)),
+    "mtry": st.none() | as_int(st.integers(1, 6)),
+    "min_child_fraction": st.floats(0.0, 0.5, exclude_min=True).flatmap(
+        lambda v: st.sampled_from([float(v), np.float64(v), np.float32(v)])),
+    "bootstrap": st.sampled_from([True, False, np.True_, np.False_]),
+    "seed": as_int(st.integers(0, 2**63 - 1)),
+})
+
+
+@pytest.fixture(scope="module")
+def small_data():
+    return simulate(SimConfig(model="aft-multi", n=30, censor_rate_param=0.08, seed=1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(fields=CONFIGS)
+def test_accepted_config_saves_and_loads_equal(small_data, tmp_path_factory, fields):
+    try:
+        cfg = ForestConfig(**fields)
+        forest = fit(small_data, cfg)
+    except DataError:  # a float32 fraction that rounds to 0, an mtry above p
+        return
+    path = tmp_path_factory.getbasetemp() / "round_trip.npz"
+    save_forest(forest, path)
+    loaded = load_forest(path, small_data).config
+    assert loaded == cfg
+    assert [type(v) for v in astuple(loaded)] == [type(v) for v in astuple(cfg)]
+    assert all(type(v) in (int, float, bool, type(None)) for v in astuple(cfg))

@@ -15,6 +15,7 @@ from cqforest.data import (
     Dataset,
     MODELS,
     SimConfig,
+    check_int,
     detect_schema,
     load_csv,
     load_features_csv,
@@ -112,6 +113,45 @@ class TestSimulate:
             SimConfig(model="aft1d", n=0, censor_rate_param=0.1)
         with pytest.raises(DataError):
             SimConfig(model="aft1d", n=10, censor_rate_param=-1.0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(censor_rate_param=math.inf), "censor_rate_param must be finite"),
+        (dict(censor_rate_param=math.nan), "censor_rate_param must be finite"),
+        (dict(noise_sd=math.inf), "noise_sd must be finite"),
+        (dict(noise_sd=math.nan), "noise_sd must be finite"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(n=2.5), "n must be an integer"),
+        (dict(n=True), "n must be an integer"),
+    ])
+    def test_rejects_non_finite_rates_and_non_integers(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            SimConfig(**{"model": "aft1d", "n": 10, "censor_rate_param": 0.1, **kwargs})
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = SimConfig(model="aft1d", n=np.int32(10), censor_rate_param=0.1, seed=np.uint64(3))
+        assert type(cfg.n) is int and type(cfg.seed) is int
+        plain = simulate(SimConfig(model="aft1d", n=10, censor_rate_param=0.1, seed=3))
+        assert simulate(cfg).response.tobytes() == plain.response.tobytes()
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [3, np.int8(3), np.uint64(3), np.int64(3)])
+    def test_accepts_python_and_numpy_integers(self, value):
+        out = check_int("k", value, 1)
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("value,message", [
+        (0, "k must be >= 1, got 0"),
+        (True, "k must be an integer"),
+        (np.True_, "k must be an integer"),
+        (1.0, "k must be an integer"),
+        (np.float32(2), "k must be an integer"),
+        ("2", "k must be an integer"),
+        (None, "k must be an integer"),
+    ])
+    def test_refuses(self, value, message):
+        with pytest.raises(DataError, match=message):
+            check_int("k", value, 1)
 
 
 class TestTrueQuantile:
@@ -238,6 +278,20 @@ class TestCsv:
             p.write_text(text)
             with pytest.raises(DataError, match=msg):
                 load_csv(p, schema)
+
+    def test_blank_lines_above_the_header_are_skipped(self, tmp_path):
+        plain, padded, blank = tmp_path / "plain.csv", tmp_path / "padded.csv", tmp_path / "blank.csv"
+        plain.write_text("x1,y,delta\n1,2,1\n3,4,0\n")
+        padded.write_text("\n  \n" + plain.read_text())
+        a, b = load_csv(plain), load_csv(padded)
+        assert (a.features.tobytes(), a.response.tobytes(), a.event.tobytes()) == (
+            b.features.tobytes(), b.response.tobytes(), b.event.tobytes())
+        padded.write_text("\n\nx1,y,delta\n1,abc,1\n")
+        with pytest.raises(DataError, match=r"padded.csv:4: non-numeric"):
+            load_csv(padded)
+        blank.write_text("\n \n")
+        with pytest.raises(DataError, match="empty file"):
+            load_csv(blank)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -66,6 +66,8 @@ class TestConfig:
             dict(taus=(0.7, 0.3)),
             dict(taus=("half",)),
             dict(search_radius=0.0),
+            dict(survival="km-knn", knn=True),
+            dict(survival="km-knn", knn=2.5),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -382,3 +384,11 @@ class TestWeightLengthCheck:
     def test_wrong_length_weights(self, data, call, n):
         with pytest.raises(DataError, match="weights span"):
             call(WeightVector.uniform(n), data)
+
+
+def test_predict_batch_refuses_non_integer_threads():
+    data = simulate(SimConfig(model="aft1d", n=40, censor_rate_param=0.1, seed=1))
+    forest = fit(data, ForestConfig(min_node_size=5, n_trees=2, seed=1))
+    for threads in (2.5, True):
+        with pytest.raises(DataError, match="threads must be an integer"):
+            predict_batch(forest, data, data.features[:2], CqrConfig(), threads=threads)
