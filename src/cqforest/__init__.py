@@ -28,14 +28,12 @@ from .data import (
 from .forest import (
     Forest,
     ForestConfig,
-    Tree,
     WeightVector,
     fit,
     forest_weights,
     load_forest,
     quantile_from_weights,
     save_forest,
-    tree_weights,
     weight_matrix,
     weighted_mean,
     weighted_quantile,
@@ -71,7 +69,6 @@ __all__ = [
     "QuantilePrediction",
     "SimConfig",
     "SurvivalCurve",
-    "Tree",
     "WeightVector",
     "beran_nw",
     "beran_rf",
@@ -98,7 +95,6 @@ __all__ = [
     "save_forest",
     "score",
     "simulate",
-    "tree_weights",
     "true_quantile",
     "weight_matrix",
     "weighted_mean",

@@ -24,7 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, SimConfig, check_int, check_taus, open_utf8, simulate, true_quantile, write_table
+from .data import (
+    DataError, Dataset, SimConfig, check_int, check_real, check_taus, open_utf8, simulate, true_quantile, write_table,
+)
 from .estimator import CqrConfig, _qhat_table, predict_with_weights
 from .forest import ForestConfig, WeightVector, _points, _weight_rows, _weighted_quantile_table, fit, quantile_from_weights
 from .metrics import c_index, quantile_losses
@@ -87,8 +89,10 @@ class ExperimentSpec:
         if not methods or any(m not in METHODS for m in methods):
             raise DataError(f"methods must be a nonempty subset of {METHODS}")
         object.__setattr__(self, "methods", methods)
-        if self.censor_rate is not None and not 0 < self.censor_rate < math.inf:
-            raise DataError("censor_rate must be finite and positive")
+        if self.censor_rate is not None:
+            object.__setattr__(self, "censor_rate", check_real("censor_rate", self.censor_rate))
+            if not 0 < self.censor_rate < math.inf:
+                raise DataError("censor_rate must be finite and positive")
 
 
 def _child_seed(*parts):

@@ -8,6 +8,7 @@ conditional quantiles are provided for benchmarking.
 
 import csv
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -51,6 +52,17 @@ def check_int(name, value, low):
     if value < low:
         raise DataError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(name, value):
+    """``value`` as a Python float, or DataError unless it is a real number (not a bool).
+
+    numpy reals are accepted, as ``check_int`` accepts numpy integers;
+    each caller checks the range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 MODELS = ("aft1d", "sine1d", "aft-multi", "complex")
@@ -145,6 +157,8 @@ class SimConfig:
             raise DataError(f"unknown model {self.model!r}; choose from {MODELS}")
         object.__setattr__(self, "n", check_int("n", self.n, 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
+        for name in ("censor_rate_param", "noise_sd"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0 < self.censor_rate_param < math.inf:
             raise DataError("censor_rate_param must be finite and > 0")
         if not 0 < self.noise_sd < math.inf:

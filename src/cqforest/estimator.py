@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, check_int, check_tau, check_taus
+from .data import DataError, check_int, check_real, check_tau, check_taus
 from .forest import (
     WeightVector,
     _blocks,
@@ -74,8 +74,10 @@ class CqrConfig:
         elif self.knn is not None:
             raise DataError("knn only applies to km-knn mode")
         object.__setattr__(self, "taus", check_taus(self.taus))
-        if self.search_radius is not None and not self.search_radius > 0:
-            raise DataError("search_radius must be positive")
+        if self.search_radius is not None:
+            object.__setattr__(self, "search_radius", check_real("search_radius", self.search_radius))
+            if not self.search_radius > 0:
+                raise DataError("search_radius must be positive")
 
 
 @dataclass

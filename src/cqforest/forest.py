@@ -11,7 +11,6 @@ adjusted estimating equation.
 import hashlib
 import json
 import math
-import numbers
 import zipfile
 from array import array
 from dataclasses import asdict, dataclass, field, fields
@@ -19,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataError, check_int, check_tau
+from .data import DataError, check_int, check_real, check_tau
 
 
 @dataclass(frozen=True)
@@ -46,33 +45,12 @@ class ForestConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if self.mtry is not None:
             object.__setattr__(self, "mtry", check_int("mtry", self.mtry, 1))
-        fraction = self.min_child_fraction
-        if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
-            raise DataError(f"min_child_fraction must be a real number, got {fraction!r}")
-        if not 0.0 < fraction <= 0.5:
+        object.__setattr__(self, "min_child_fraction", check_real("min_child_fraction", self.min_child_fraction))
+        if not 0.0 < self.min_child_fraction <= 0.5:
             raise DataError("min_child_fraction must lie in (0, 0.5]")
         if not isinstance(self.bootstrap, (bool, np.bool_)):
             raise DataError(f"bootstrap must be a bool, got {self.bootstrap!r}")
-        object.__setattr__(self, "min_child_fraction", float(fraction))
         object.__setattr__(self, "bootstrap", bool(self.bootstrap))
-
-
-@dataclass
-class Tree:
-    """One fitted tree in flat-array form.
-
-    ``feature[i] == -1`` marks node i as a leaf; internal nodes route x to
-    ``left`` iff x[feature] <= threshold, and child ids are local to the
-    tree. ``leaf_rows[i]`` holds the original training-row indices in
-    leaf i, bootstrap multiplicity included; leaves partition the bag.
-    In a ``Forest`` these arrays are views into the forest's flat store.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_rows: list
 
 
 class WeightVector:
@@ -143,15 +121,13 @@ class _Nodes:
     rows: np.ndarray
 
 
-def _views(nodes):
-    """Every tree of the store as a ``Tree`` whose arrays are views into it."""
+def _trees(nodes):
+    """Every tree of the store as a one-tree ``_Nodes``: views into it, with root 0 and row_ptr from 0."""
     bounds = np.append(nodes.roots, nodes.feature.size).tolist()
-    ptr = nodes.row_ptr.tolist()
+    ptr = nodes.row_ptr
     return [
-        Tree(
-            nodes.feature[a:b], nodes.threshold[a:b], nodes.left[a:b], nodes.right[a:b],
-            [nodes.rows[ptr[g] : ptr[g + 1]] if ptr[g + 1] > ptr[g] else None for g in range(a, b)],
-        )
+        _Nodes(nodes.feature[a:b], nodes.threshold[a:b], nodes.left[a:b], nodes.right[a:b],
+               np.zeros(1, dtype=np.int64), ptr[a : b + 1] - ptr[a], nodes.rows[ptr[a] : ptr[b]])
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
@@ -164,8 +140,8 @@ class Forest:
     on or loaded with; the predictors take no other data.
     ``_nodes`` is the flat store holding every tree (grown as one
     ``_Group`` in ``fit``, read back whole by ``load_forest``), so the
-    forest is held once and walked in one pass; ``trees`` is a list of
-    per-tree views into it, built on first use.
+    forest is held once and walked in one pass; ``trees`` lists each
+    tree as a one-tree store of views into it, built on first use.
     """
 
     config: ForestConfig
@@ -179,7 +155,7 @@ class Forest:
 
     @cached_property
     def trees(self):
-        return _views(self._nodes)
+        return _trees(self._nodes)
 
 
 # cells (nodes x mtry x padded width) scored in one pass: enough to spread
@@ -459,8 +435,8 @@ def _descend(nodes, roots, xmat):
 
 
 def apply(tree, xmat):
-    """Leaf node id for every row of xmat, vectorized over rows."""
-    return _descend(tree, np.zeros(1, dtype=np.int64), xmat).astype(np.int32)
+    """Leaf node id for every row of xmat in a one-tree store (an entry of ``Forest.trees``)."""
+    return _descend(tree, tree.roots, xmat).astype(np.int32)
 
 
 # lanes per walk: enough to spread each level's numpy calls over many
@@ -468,27 +444,18 @@ def apply(tree, xmat):
 _WALK_LANES = 1 << 14
 
 
-def _leaf_mass(rows, size, b, n):
-    """Length-n weights adding 1/(b * size[j]) for each row of the j-th leaf.
-
-    ``rows`` holds the leaves' in-bag rows back to back, ``size[j]`` of
-    them for leaf j. bincount adds its inputs in the order given,
-    starting from zero, so the result is bit-identical to a scatter that
-    adds the same leaves in the same order.
-    """
-    return np.bincount(rows, weights=np.repeat(1.0 / (b * size), size), minlength=n)
-
-
 def _weight_rows(forest, xmat):
     """Sparse weights at each row of xmat, one (index, value) pair per point.
 
     Each point gathers the in-bag rows of its leaf in every tree, in
     tree order and leaf-row order within a leaf (the order a tree-by-tree
-    scatter adds them in), and sums them with one ``_leaf_mass``; the
-    indices are that sum's nonzero entries, ascending. Points are walked
-    in blocks of about ``_WALK_LANES`` lanes, so the walk's temporaries
-    stay near 1 MiB whatever the batch size. ``xmat`` must already have
-    passed ``_points``.
+    scatter adds them in), and adds 1/(trees * leaf size) per row with one
+    ``bincount``. bincount adds its inputs in the order given, starting
+    from zero, so the sum is bit-identical to that scatter; the indices
+    are its nonzero entries, ascending. Points are walked in blocks of
+    about ``_WALK_LANES`` lanes, so the walk's temporaries stay near
+    1 MiB whatever the batch size. ``xmat`` must already have passed
+    ``_points``.
     """
     nodes, n = forest._nodes, forest.n_train
     b = nodes.roots.size  # trees
@@ -499,7 +466,7 @@ def _weight_rows(forest, xmat):
             start = nodes.row_ptr[point_leaves]
             size = nodes.row_ptr[point_leaves + 1] - start
             gather = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
-            mass = _leaf_mass(nodes.rows[gather], size, b, n)
+            mass = np.bincount(nodes.rows[gather], weights=np.repeat(1.0 / (b * size), size), minlength=n)
             index = np.flatnonzero(mass)
             yield index, mass[index]
 
@@ -512,18 +479,6 @@ def _points(xmat, p):
     if not np.isfinite(xmat).all():
         raise DataError("test features must be finite")
     return xmat
-
-
-def tree_weights(tree, x, n):
-    """Weights 1/|leaf| on the in-bag rows co-leafed with x, 0 elsewhere.
-
-    ``n`` is the training-set size; x needs a value for every feature
-    the tree splits on.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    x = _points(x, max(x.shape[1], int(tree.feature.max()) + 1))
-    rows = np.asarray(tree.leaf_rows[apply(tree, x)[0]])
-    return WeightVector.from_dense(_leaf_mass(rows, np.array([rows.size]), 1, int(n)))
 
 
 def weight_matrix(forest, xmat):
@@ -731,10 +686,15 @@ _STORE = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right
 
 
 def _digest(arrays):
-    """SHA-256 over each array's name, dtype, shape and bytes, in name order."""
+    """SHA-256 over each array's name, dtype, shape and bytes, in name order.
+
+    Each array is hashed in place through its buffer, so the digest holds
+    no copy of the store.
+    """
     h = hashlib.sha256()
     for name, a in sorted(arrays.items()):
-        h.update(f"{name}:{a.dtype.str}:{a.shape};".encode() + np.ascontiguousarray(a).tobytes())
+        h.update(f"{name}:{a.dtype.str}:{a.shape};".encode())
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, write_table
+from .data import DataError, check_real, write_table
 from .forest import WeightVector, _groups, _reversed_cumsum, _row, _Support, _take_rows
 
 
@@ -169,6 +169,7 @@ class BeranNWConfig:
     kernel: str = "gaussian"
 
     def __post_init__(self):
+        object.__setattr__(self, "bandwidth", check_real("bandwidth", self.bandwidth))
         if not self.bandwidth > 0:
             raise DataError("bandwidth must be positive")
         if self.kernel not in ("gaussian", "epanechnikov"):

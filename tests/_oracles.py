@@ -157,7 +157,7 @@ def scattered_weights(trees, xmat, n):
     for tree in trees:
         leaves = tree_leaves(tree, xmat)
         for leaf in np.unique(leaves):
-            rows = tree.leaf_rows[leaf]
+            rows = tree.rows[tree.row_ptr[leaf] : tree.row_ptr[leaf + 1]]
             pts = np.flatnonzero(leaves == leaf)
             np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (len(trees) * rows.size))
     return out
@@ -244,28 +244,27 @@ def reference_trees(x, y, cfg, mtry):
 
 
 def differing_trees(trees, refs):
-    """Indices of the trees whose nodes or leaf rows differ from their reference in any byte.
+    """Indices of the one-tree stores whose nodes or leaf rows differ from their reference in any byte.
 
-    The trees' arrays are compared as stored (int32 ids and rows, float64
-    thresholds); the reference is cast to those dtypes.
+    The stores' arrays are compared as stored (int32 ids and rows, int64
+    row pointers, float64 thresholds); the reference is cast to those
+    dtypes, its leaf rows laid out back to back in node order.
     """
     if len(trees) != len(refs):
         raise ValueError(f"{len(trees)} trees against {len(refs)} references")
     out = []
     for t, (tree, (feature, threshold, left, right, leaf_rows)) in enumerate(zip(trees, refs)):
+        sizes = [0 if r is None else len(r) for r in leaf_rows]
         pairs = [
             (tree.feature, np.asarray(feature, dtype=np.int32)),
             (tree.threshold, np.asarray(threshold, dtype=np.float64)),
             (tree.left, np.asarray(left, dtype=np.int32)),
             (tree.right, np.asarray(right, dtype=np.int32)),
+            (tree.roots, np.zeros(1, dtype=np.int64)),
+            (tree.row_ptr, np.cumsum([0] + sizes, dtype=np.int64)),
+            (tree.rows, np.concatenate([r for r in leaf_rows if r is not None]).astype(np.int32)),
         ]
-        same = all(a.tobytes() == b.tobytes() for a, b in pairs) and len(tree.leaf_rows) == len(leaf_rows)
-        same = same and all(
-            (a is None and b is None)
-            or (a is not None and b is not None and a.tobytes() == np.asarray(b, dtype=np.int32).tobytes())
-            for a, b in zip(tree.leaf_rows, leaf_rows)
-        )
-        if not same:
+        if not all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs):
             out.append(t)
     return out
 

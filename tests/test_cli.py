@@ -10,7 +10,7 @@ import pytest
 from cqforest.cli import main
 from cqforest.data import DataError, SimConfig, detect_schema, load_csv, simulate, write_csv
 from cqforest.estimator import CqrConfig, predict_batch
-from cqforest.forest import ForestConfig, Tree, _digest, _Nodes, _views, fit, load_forest
+from cqforest.forest import ForestConfig, _digest, _Nodes, _trees, fit, load_forest
 
 
 def read_rows(path):
@@ -452,27 +452,28 @@ def drop_rows(count):
 
 
 def crafted(feature, left, right, leaf_rows):
-    """A tree splitting feature 0 at 1.0 on every internal node; ``leaf_rows`` maps leaves to rows."""
+    """A one-tree store splitting feature 0 at 1.0 on every internal node; ``leaf_rows`` maps leaves to rows."""
     i32 = lambda v: np.array(v, dtype=np.int32)  # noqa: E731
     threshold = np.where(np.array(feature) >= 0, 1.0, np.nan)
-    rows = [i32(leaf_rows[i]) if i in leaf_rows else None for i in range(len(feature))]
-    return Tree(i32(feature), threshold, i32(left), i32(right), rows)
+    sizes = [len(leaf_rows.get(i, ())) for i in range(len(feature))]
+    rows = i32([r for i in sorted(leaf_rows) for r in leaf_rows[i]])
+    roots = np.zeros(1, dtype=np.int64)
+    return _Nodes(i32(feature), threshold, i32(left), i32(right), roots, np.cumsum([0] + sizes), rows)
 
 
 def store(trees):
-    """The model arrays of ``trees``: their nodes and leaf rows back to back, as ``fit`` lays them out."""
-    sizes = [0 if r is None else len(r) for tree in trees for r in tree.leaf_rows]
+    """The model arrays of the one-tree stores ``trees``, laid out back to back as ``fit`` lays them out."""
     return {
         **{k: np.concatenate([getattr(tree, k) for tree in trees]) for k in ("feature", "threshold", "left", "right")},
         "roots": np.cumsum([0] + [tree.feature.size for tree in trees[:-1]]),
-        "row_ptr": np.cumsum([0] + sizes),
-        "rows": np.concatenate([r for tree in trees for r in tree.leaf_rows if r is not None]).astype(np.int32),
+        "row_ptr": np.cumsum([0] + [n for tree in trees for n in np.diff(tree.row_ptr)]),
+        "rows": np.concatenate([tree.rows for tree in trees]),
     }
 
 
 def with_trees(*trees):
     """Corruption replacing the model's first trees by ``trees``."""
-    return lambda head, arrays: (head, store([*trees, *_views(_Nodes(**arrays))[len(trees):]]))
+    return lambda head, arrays: (head, store([*trees, *_trees(_Nodes(**arrays))[len(trees):]]))
 
 
 # node 3 is its own child: the child links still permute 1..4, so only
@@ -562,9 +563,9 @@ def v1_json(path, workspace):
             "threshold": [None if np.isnan(v) else v for v in t.threshold.tolist()],
             "left": t.left.tolist(),
             "right": t.right.tolist(),
-            "leaf_rows": [None if r is None else r.tolist() for r in t.leaf_rows],
+            "leaf_rows": [t.rows[a:b].tolist() if b > a else None for a, b in zip(t.row_ptr[:-1], t.row_ptr[1:])],
         }
-        for t in _views(_Nodes(**arrays))
+        for t in _trees(_Nodes(**arrays))
     ]
     path.write_text(json.dumps({**head, "version": 1, "trees": trees}))
 

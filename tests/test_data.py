@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ndtri
 
 from cqforest import data as data_module
+from cqforest.bench import ExperimentSpec
 from cqforest.data import (
     CsvSchema,
     DataError,
@@ -16,6 +17,7 @@ from cqforest.data import (
     MODELS,
     SimConfig,
     check_int,
+    check_real,
     detect_schema,
     load_csv,
     load_features_csv,
@@ -24,6 +26,9 @@ from cqforest.data import (
     true_quantile,
     write_csv,
 )
+from cqforest.estimator import CqrConfig
+from cqforest.forest import ForestConfig
+from cqforest.survival import BeranNWConfig
 
 
 def test_model_dims():
@@ -152,6 +157,47 @@ class TestCheckInt:
     def test_refuses(self, value, message):
         with pytest.raises(DataError, match=message):
             check_int("k", value, 1)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.25, np.float32(0.25), np.float64(0.25), 1, np.int64(1)])
+    def test_accepts_python_and_numpy_reals(self, value):
+        out = check_real("r", value)
+        assert out == value and type(out) is float
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.25", None, 1j, [0.25]])
+    def test_refuses(self, value):
+        with pytest.raises(DataError, match="r must be a real number"):
+            check_real("r", value)
+
+
+# each real-valued config field, with a builder of its config from the field's value
+REAL_FIELDS = {
+    "min_child_fraction": lambda v: ForestConfig(min_node_size=1, min_child_fraction=v),
+    "censor_rate_param": lambda v: SimConfig(model="aft1d", n=10, censor_rate_param=v),
+    "noise_sd": lambda v: SimConfig(model="aft1d", n=10, censor_rate_param=0.1, noise_sd=v),
+    "censor_rate": lambda v: ExperimentSpec(scenario="aft1d", censor_rate=v),
+    "search_radius": lambda v: CqrConfig(search_radius=v),
+    "bandwidth": lambda v: BeranNWConfig(bandwidth=v),
+}
+OPTIONAL_REAL_FIELDS = ("censor_rate", "search_radius")  # None means "not set"
+
+
+class TestRealConfigFields:
+    @pytest.mark.parametrize("value", [True, "0.25", None], ids=["bool", "string", "none"])
+    @pytest.mark.parametrize("name", list(REAL_FIELDS))
+    def test_refuses_non_reals(self, name, value):
+        if value is None and name in OPTIONAL_REAL_FIELDS:
+            assert getattr(REAL_FIELDS[name](None), name) is None
+            return
+        with pytest.raises(DataError, match=f"{name} must be a real number"):
+            REAL_FIELDS[name](value)
+
+    @pytest.mark.parametrize("name", list(REAL_FIELDS))
+    def test_numpy_floats_stored_as_float(self, name):
+        for value in (np.float32(0.25), np.float64(0.25)):
+            stored = getattr(REAL_FIELDS[name](value), name)
+            assert stored == 0.25 and type(stored) is float
 
 
 class TestTrueQuantile:

@@ -1,7 +1,8 @@
+import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cqforest.data import DataError, Dataset, SimConfig, simulate
 from cqforest.forest import (
     Forest,
     ForestConfig,
-    Tree,
     WeightVector,
     apply,
     data_checksum,
@@ -22,10 +22,12 @@ from cqforest.forest import (
     quantile_from_weights,
     save_forest,
     support_grid,
-    tree_weights,
     weight_matrix,
     weighted_mean,
     weighted_quantile,
+    _check_store,
+    _descend,
+    _Nodes,
     _ranks,
 )
 
@@ -36,9 +38,9 @@ def toy_dataset(n=60, p=1, seed=0, model="aft1d"):
     return simulate(SimConfig(model=model, n=n, censor_rate_param=0.1, seed=seed))
 
 
-def in_bag(tree):
-    """The tree's in-bag rows, bootstrap multiplicity included: its leaf rows back to back."""
-    return np.concatenate([r for r in tree.leaf_rows if r is not None])
+def leaf_bags(tree):
+    """The in-bag rows of each leaf of a one-tree store, in node order, bootstrap multiplicity included."""
+    return [r for r in np.split(tree.rows, tree.row_ptr[1:-1]) if r.size]
 
 
 def uncensored(features, response):
@@ -104,16 +106,15 @@ class TestGrowth:
         tree = f.trees[0]
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 1.5
-        left, right = tree.left[0], tree.right[0]
-        assert np.array_equal(tree.leaf_rows[left], [0, 1])
-        assert np.array_equal(tree.leaf_rows[right], [2, 3])
+        assert (tree.left[0], tree.right[0]) == (1, 2)
+        assert tree.row_ptr.tolist() == [0, 0, 2, 4] and tree.rows.tolist() == [0, 1, 2, 3]
 
     def test_single_row(self):
         d = uncensored([[1.0]], [5.0])
         f = fit(d, ForestConfig(min_node_size=1, n_trees=3, seed=1))
         for tree in f.trees:
-            assert tree.feature[0] == -1
-            assert np.array_equal(tree.leaf_rows[0], [0])
+            assert tree.feature.tolist() == [-1]
+            assert tree.row_ptr.tolist() == [0, 1] and tree.rows.tolist() == [0]
 
     def test_constant_response_single_leaf(self):
         d = uncensored(np.linspace(0, 1, 100).reshape(-1, 1), np.full(100, 7.0))
@@ -128,10 +129,9 @@ class TestGrowth:
         # fit draws tree t's bootstrap bag first from its own spawned stream
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
         for tree, seq in zip(f.trees, seeds):
-            rows = [r for r in tree.leaf_rows if r is not None]
-            assert all(len(r) >= cfg.min_node_size for r in rows)
+            assert all(len(r) >= cfg.min_node_size for r in leaf_bags(tree))
             bag = np.random.default_rng(seq).integers(0, d.n, size=d.n)
-            assert np.array_equal(np.sort(np.concatenate(rows)), np.sort(bag))
+            assert np.array_equal(np.sort(tree.rows), np.sort(bag))
             # internal nodes route left iff x <= threshold; spot-check by
             # dropping every training point down the tree
             leaves = apply(tree, d.features)
@@ -146,7 +146,7 @@ class TestGrowth:
         def node_sizes(tree):
             # reconstruct per-node row counts by routing the bag
             sizes = {}
-            xb = d.features[in_bag(tree)]
+            xb = d.features[tree.rows]
             for xi in xb:
                 nid = 0
                 while True:
@@ -298,13 +298,13 @@ class TestWeights:
     def test_single_leaf_uniform(self):
         d = uncensored(np.arange(10.0).reshape(-1, 1), np.arange(10.0))
         f = fit(d, ForestConfig(min_node_size=10, n_trees=1, bootstrap=False, seed=0))
-        w = tree_weights(f.trees[0], [4.0], n=10)
+        w = forest_weights(f, [4.0])
         assert np.array_equal(w.dense(), np.full(10, 0.1))
 
     def test_two_point_leaf(self):
         d = uncensored([[0.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 10.0, 10.0])
         f = fit(d, ForestConfig(min_node_size=1, n_trees=1, mtry=1, bootstrap=False, seed=0))
-        w = tree_weights(f.trees[0], [2.5], n=4)
+        w = forest_weights(f, [2.5])
         assert np.array_equal(w.index, [2, 3])
         assert np.array_equal(w.value, [0.5, 0.5])
 
@@ -312,30 +312,22 @@ class TestWeights:
         # a row duplicated in the bag gets proportionally larger weight
         d = uncensored([[0.0], [1.0]], [0.0, 1.0])
         f = fit(d, ForestConfig(min_node_size=2, n_trees=1, seed=3))
-        tree = f.trees[0]
-        counts = np.bincount(in_bag(tree), minlength=2)
-        w = tree_weights(tree, [0.0], n=2)
+        counts = np.bincount(f.trees[0].rows, minlength=2)
+        w = forest_weights(f, [0.0])
         assert np.array_equal(w.dense(), counts / 2.0)
-
-    def test_tree_weights_needs_n_and_a_finite_point(self):
-        d = toy_dataset(n=30, seed=2)
-        tree = fit(d, ForestConfig(min_node_size=5, n_trees=1, seed=3)).trees[0]
-        with pytest.raises(TypeError):
-            tree_weights(tree, [1.0])  # the bag does not reveal n: its last row may be out of bag
-        for bad in ([np.nan], [np.inf], [-np.inf], []):
-            with pytest.raises(DataError):
-                tree_weights(tree, bad, n=d.n)
 
     def test_apply_skips_nodes_no_row_reaches(self):
         # node 2 splits on a feature these rows lack; walking into it with an
         # empty row set would index out of bounds
         nan = np.nan
-        tree = Tree(
+        tree = _Nodes(
             feature=np.array([0, -1, 7, -1, -1], dtype=np.int32),
             threshold=np.array([0.5, nan, 0.0, nan, nan]),
             left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
             right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
-            leaf_rows=[None, np.array([0]), None, np.array([1]), np.array([2])],
+            roots=np.zeros(1, dtype=np.int64),
+            row_ptr=np.array([0, 0, 1, 1, 2, 3]),
+            rows=np.array([0, 1, 2], dtype=np.int32),
         )
         assert np.array_equal(apply(tree, np.array([[0.1], [0.2]])), [1, 1])
 
@@ -343,10 +335,8 @@ class TestWeights:
         d = toy_dataset(n=40, seed=11)
         f = fit(d, ForestConfig(min_node_size=5, n_trees=7, seed=12))
         x = np.array([0.7])
-        dense = np.zeros(d.n)
-        for tree in f.trees:
-            dense += tree_weights(tree, x, n=d.n).dense()
-        dense /= len(f.trees)
+        # each tree's own weights, 1/|leaf| on its co-leafed in-bag rows
+        dense = np.mean([scattered_weights([tree], x[None, :], d.n)[0] for tree in f.trees], axis=0)
         assert forest_weights(f, x).dense() == pytest.approx(dense, abs=1e-15)
 
     def test_weight_matrix_matches_per_point(self):
@@ -360,10 +350,10 @@ class TestWeights:
     def test_normalization_and_leaf_bound(self):
         d = toy_dataset(n=70, seed=15)
         f = fit(d, ForestConfig(min_node_size=6, n_trees=15, seed=16))
-        min_leaf = min(len(r) for t in f.trees for r in t.leaf_rows if r is not None)
+        min_leaf = min(len(r) for t in f.trees for r in leaf_bags(t))
         # bagging duplicates inflate a single row's weight by its in-leaf
         # multiplicity, so the 1/min_leaf bound scales by the worst one
-        max_dup = max(int(np.bincount(in_bag(t)).max()) for t in f.trees)
+        max_dup = max(int(np.bincount(t.rows).max()) for t in f.trees)
         rng = np.random.default_rng(17)
         for _ in range(25):
             x = rng.uniform(0, 2, 1)
@@ -376,7 +366,7 @@ class TestWeights:
         # with multiplicities gone the classic bound is exact
         d = toy_dataset(n=70, seed=15)
         f = fit(d, ForestConfig(min_node_size=6, n_trees=15, bootstrap=False, seed=16))
-        min_leaf = min(len(r) for t in f.trees for r in t.leaf_rows if r is not None)
+        min_leaf = min(len(r) for t in f.trees for r in leaf_bags(t))
         rng = np.random.default_rng(17)
         for _ in range(25):
             w = forest_weights(f, rng.uniform(0, 2, 1))
@@ -409,7 +399,7 @@ class TestFlatWalkAndScatter:
 
     def test_bootstrap_duplicates_present(self, multi):
         _, f, _ = multi
-        assert any(np.unique(r).size < r.size for t in f.trees for r in t.leaf_rows if r is not None)
+        assert any(np.unique(r).size < r.size for t in f.trees for r in leaf_bags(t))
 
     def test_weight_matrix_bytes(self, multi):
         d, f, xs = multi
@@ -424,10 +414,12 @@ class TestFlatWalkAndScatter:
             assert forest_weights(f, x).dense().tobytes() == row.tobytes()
 
     def test_tree_weights_bytes(self, multi):
+        # a one-tree store is a forest's store: the forest of one tree gives that tree's weights
         d, f, xs = multi
         for tree in f.trees[:8]:
+            one = replace(f, config=replace(f.config, n_trees=1), _nodes=tree)
             ref = scattered_weights([tree], xs[:1], d.n)[0]
-            assert tree_weights(tree, xs[0], n=d.n).dense().tobytes() == ref.tobytes()
+            assert forest_weights(one, xs[0]).dense().tobytes() == ref.tobytes()
 
     def test_apply_matches_stack_walk(self, multi):
         d, f, xs = multi
@@ -455,9 +447,24 @@ class TestFlatWalkAndScatter:
         for forest in (f, load_forest(path, d)):
             nodes = forest._nodes
             for tree in forest.trees:
-                for key in ("feature", "threshold", "left", "right"):
+                assert isinstance(tree, _Nodes)
+                for key in ("feature", "threshold", "left", "right", "rows"):
                     assert np.shares_memory(getattr(tree, key), getattr(nodes, key))
-                assert all(np.shares_memory(r, nodes.rows) for r in tree.leaf_rows if r is not None)
+
+    @pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+    def test_trees_are_valid_one_tree_stores(self, bootstrap, tmp_path):
+        d = toy_dataset(n=200, seed=37, model="aft-multi")
+        f = fit(d, ForestConfig(min_node_size=5, n_trees=12, bootstrap=bootstrap, seed=38))
+        xs = toy_dataset(n=30, seed=39, model="aft-multi").features
+        path = tmp_path / "model.npz"
+        save_forest(f, path)
+        for forest in (f, load_forest(path, d)):
+            nodes = forest._nodes
+            walked = _descend(nodes, nodes.roots, xs).reshape(xs.shape[0], -1)
+            assert len(forest.trees) == nodes.roots.size
+            for t, tree in enumerate(forest.trees):
+                _check_store(tree, 1, d.p, d.n)
+                assert np.array_equal(apply(tree, xs), walked[:, t] - nodes.roots[t])
 
     def test_trees_are_built_on_first_use(self, tmp_path):
         d = toy_dataset(n=80, seed=35, model="aft-multi")
@@ -576,13 +583,11 @@ class TestSerialization:
         assert g.feature_names == ("x1",)
         xs = d.features[:5]
         assert np.array_equal(weight_matrix(g, xs), weight_matrix(f, xs))
+        assert len(f.trees) == len(g.trees)
         for tree_a, tree_b in zip(f.trees, g.trees):
-            assert np.array_equal(tree_a.feature, tree_b.feature)
-            assert np.array_equal(tree_a.threshold, tree_b.threshold, equal_nan=True)
-            assert len(tree_a.leaf_rows) == len(tree_b.leaf_rows)
-            for rows_a, rows_b in zip(tree_a.leaf_rows, tree_b.leaf_rows):
-                assert (rows_a is None) == (rows_b is None)
-                assert rows_a is None or np.array_equal(rows_a, rows_b)
+            for key in ("feature", "threshold", "left", "right", "roots", "row_ptr", "rows"):
+                a, b = getattr(tree_a, key), getattr(tree_b, key)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
 
     def test_archive_holds_the_flat_store(self, tmp_path):
         d = toy_dataset(n=60, seed=28, model="aft-multi")
@@ -617,6 +622,24 @@ class TestSerialization:
             "feature_names": list("abcde"),
             "checksum": data_checksum(d),
         }
+
+    def test_digest_hashes_arrays_in_place(self):
+        # a cli-scale store (200 trees of 5000 rows): copying each array to
+        # bytes before hashing peaked at 7.6 MiB, two copies of ``rows``
+        arrays = {"rows": np.arange(200 * 5000, dtype=np.int32) % 5000, "row_ptr": np.arange(30_405),
+                  "threshold": np.linspace(0.0, 1.0, 30_404)}
+        tracemalloc.start()
+        try:
+            digest = forest_module._digest(arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays["rows"].nbytes / 8, peak
+        # the same digest as hashing copies, so model files saved before still load
+        h = hashlib.sha256()
+        for name, a in sorted(arrays.items()):
+            h.update(f"{name}:{a.dtype.str}:{a.shape};".encode() + a.tobytes())
+        assert digest == h.hexdigest()
 
     def test_checksum_guards_against_wrong_data(self, tmp_path):
         d = toy_dataset(n=30, seed=26)
