@@ -17,7 +17,6 @@ Everything is seeded: one spec plus one seed yields identical tables,
 except for the wall-clock values measured by runtime-scaling.
 """
 
-import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -90,9 +89,7 @@ class ExperimentSpec:
             raise DataError(f"methods must be a nonempty subset of {METHODS}")
         object.__setattr__(self, "methods", methods)
         if self.censor_rate is not None:
-            object.__setattr__(self, "censor_rate", check_real("censor_rate", self.censor_rate))
-            if not 0 < self.censor_rate < math.inf:
-                raise DataError("censor_rate must be finite and positive")
+            object.__setattr__(self, "censor_rate", check_real("censor_rate", self.censor_rate, 0))
 
 
 def _child_seed(*parts):
@@ -116,6 +113,7 @@ def illustrative_roots(n, seed, tau=0.5):
     data (root_u2). Both should approach the tau-quantile of T as n
     grows; root_u1 exists only because simulation reveals T.
     """
+    n = check_int("n", n, 1)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 1.0, n)
     c = rng.normal(0.8, 0.2, n)

@@ -6,8 +6,8 @@ randomness flows from --seed flags, and exit codes are 0 (success),
 """
 
 import argparse
-import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .data import (
     MODELS,
     DataError,
     SimConfig,
+    _column,
     _read_dataset,
     load_csv,
     load_features_csv,
@@ -86,19 +87,11 @@ def _cmd_predict(args):
 
 
 def _read_predictions(path):
+    """A prediction file's q_hat by tau, then by row; a repeated (row, tau) pair raises DataError."""
     header, lines, rows = read_table(path)
-    for name in ("row", "tau", "q_hat"):
-        if name not in header:
-            raise DataError(f"{path}: missing column {name!r}")
-    irow, itau, iq = header.index("row"), header.index("tau"), header.index("q_hat")
+    column = partial(_column, path, header, lines, rows)
     table = {}
-    for lineno, rec in zip(lines, rows):
-        try:
-            row, tau, q = int(rec[irow]), float(rec[itau]), float(rec[iq])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed prediction row") from None
-        if not (math.isfinite(tau) and math.isfinite(q)):
-            raise DataError(f"{path}:{lineno}: tau and q_hat must be finite")
+    for lineno, row, tau, q in zip(lines, column("row", kind="int"), column("tau"), column("q_hat")):
         per_tau = table.setdefault(tau, {})
         if row in per_tau:
             raise DataError(f"{path}:{lineno}: repeated prediction for row {row} at tau {tau!r}")

@@ -54,15 +54,40 @@ def check_int(name, value, low):
     return int(value)
 
 
-def check_real(name, value):
-    """``value`` as a Python float, or DataError unless it is a real number (not a bool).
+def check_real(name, value, low=-math.inf, high=math.inf):
+    """``value`` as a Python float, or DataError unless it is a real number (not a bool) in the open interval (low, high).
 
-    numpy reals are accepted, as ``check_int`` accepts numpy integers;
-    each caller checks the range.
+    numpy reals are accepted, as ``check_int`` accepts numpy integers.
+    The default interval refuses NaN and both infinities.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DataError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not low < value < high:
+        bound = f"be finite and > {low}" if high == math.inf else f"lie in ({low}, {high})"
+        raise DataError(f"{name} must {bound}, got {value!r}")
+    return value
+
+
+def check_outcomes(y, event):
+    """``(y, event)`` as a float array and a bool array, or DataError.
+
+    The response must be a nonempty, finite, 1-d array, and the event
+    flags bools or 0/1, one per response.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    event = np.asarray(event)
+    if y.ndim != 1 or y.size == 0:
+        raise DataError("response must be a nonempty 1-d array")
+    if event.shape != y.shape:
+        raise DataError("event flags must match the response length")
+    if not np.isfinite(y).all():
+        raise DataError("response values must be finite")
+    if event.dtype != np.bool_:
+        if not np.isin(event, (0, 1)).all():
+            raise DataError("event flags must be 0/1 or boolean")
+        event = event.astype(bool)
+    return y, event
 
 
 MODELS = ("aft1d", "sine1d", "aft-multi", "complex")
@@ -104,17 +129,11 @@ class Dataset:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise DataError("features must be a nonempty 2-d array")
-        y = np.asarray(self.response, dtype=np.float64)
-        ev = np.asarray(self.event)
-        if ev.dtype != np.bool_:
-            vals = np.unique(ev)
-            if not np.isin(vals, (0, 1)).all():
-                raise DataError("event flags must be 0/1 or boolean")
-            ev = ev.astype(bool)
-        if y.shape != (x.shape[0],) or ev.shape != y.shape:
-            raise DataError("features, response and event lengths differ")
-        if not np.isfinite(x).all() or not np.isfinite(y).all():
-            raise DataError("non-finite value in features or response")
+        if not np.isfinite(x).all():
+            raise DataError("non-finite value in features")
+        y, ev = check_outcomes(self.response, self.event)
+        if y.shape != (x.shape[0],):
+            raise DataError("features and response lengths differ")
         lat = self.latent
         if lat is not None:
             lat = np.asarray(lat, dtype=np.float64)
@@ -158,11 +177,7 @@ class SimConfig:
         object.__setattr__(self, "n", check_int("n", self.n, 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         for name in ("censor_rate_param", "noise_sd"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        if not 0 < self.censor_rate_param < math.inf:
-            raise DataError("censor_rate_param must be finite and > 0")
-        if not 0 < self.noise_sd < math.inf:
-            raise DataError("noise_sd must be finite and > 0")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
 
 
 def model_dim(model):
@@ -189,6 +204,12 @@ def _signal(model, x):
     raise DataError(f"unknown model {model!r}")
 
 
+def _latent(model, x, noise):
+    """Latent time at features x under additive noise: exp(location + noise) for the aft models, location + noise otherwise."""
+    t = _signal(model, x) + noise
+    return np.exp(t) if model in ("aft1d", "aft-multi") else t
+
+
 def simulate(cfg):
     """Draw one dataset from a named generator.
 
@@ -202,11 +223,7 @@ def simulate(cfg):
     high = 2.0 * math.pi if cfg.model == "sine1d" else 2.0
     x = rng.uniform(0.0, high, size=(cfg.n, p))
     eps = rng.normal(0.0, cfg.noise_sd, size=cfg.n)
-    loc = _signal(cfg.model, x)
-    if cfg.model in ("aft1d", "aft-multi"):
-        latent = np.exp(loc + eps)
-    else:
-        latent = loc + eps
+    latent = _latent(cfg.model, x, eps)
     censor = rng.exponential(1.0 / cfg.censor_rate_param, size=cfg.n)
     if cfg.model == "sine1d":
         censor = 1.0 + np.sin(x[:, 0]) + censor
@@ -215,7 +232,7 @@ def simulate(cfg):
     return Dataset(features=x, response=response, event=event, latent=latent)
 
 
-def true_quantile(model, x, tau, noise_sd=0.3):
+def true_quantile(model, x, tau, noise_sd=SimConfig.noise_sd):
     """Closed-form conditional tau-quantile of the latent time at x.
 
     Parameters
@@ -226,12 +243,15 @@ def true_quantile(model, x, tau, noise_sd=0.3):
         A single feature vector (p,) or a batch (n, p); scalars are
         accepted for the one-dimensional models.
     tau : float in (0, 1)
+    noise_sd : float > 0
+        Standard deviation of the normal noise, as in ``SimConfig``.
 
     Returns
     -------
     float or ndarray matching the batch shape of ``x``.
     """
     tau = check_tau(tau)
+    noise_sd = check_real("noise_sd", noise_sd, 0)
     p = model_dim(model)
     xa = np.asarray(x, dtype=np.float64)
     scalar = xa.ndim < 2
@@ -245,9 +265,7 @@ def true_quantile(model, x, tau, noise_sd=0.3):
     # statistics.NormalDist().inv_cdf differs from it in the last bits at some taus.
     from scipy.special import ndtri
 
-    z = noise_sd * ndtri(tau)
-    loc = _signal(model, xa)
-    q = np.exp(loc + z) if model in ("aft1d", "aft-multi") else loc + z
+    q = _latent(model, xa, noise_sd * ndtri(tau))
     return float(q[0]) if scalar and q.size == 1 else q
 
 
@@ -301,10 +319,11 @@ def read_table(path):
 
 
 def _column(path, header, lines, rows, name, kind="float"):
-    """Column ``name`` of a ``read_table`` as finite floats, or as bools from 0/1 flags for ``kind="event"``."""
+    """Column ``name`` of a ``read_table``: finite floats, Python ints for ``kind="int"``, or bools from 0/1 flags for ``kind="event"``."""
     if name not in header:
         raise DataError(f"{path}: missing column {name!r}")
     j = header.index(name)
+    parse, what = (int, "non-integer") if kind == "int" else (float, "non-numeric")
     out = []
     for line, rec in zip(lines, rows):
         cell = rec[j].strip()
@@ -316,10 +335,10 @@ def _column(path, header, lines, rows, name, kind="float"):
             out.append(cell == "1")
             continue
         try:
-            val = float(cell)
+            val = parse(cell)
         except ValueError:
-            raise DataError(f"{path}:{line}: non-numeric cell {cell!r} in column {name!r}") from None
-        if not math.isfinite(val):
+            raise DataError(f"{path}:{line}: {what} cell {cell!r} in column {name!r}") from None
+        if kind == "float" and not math.isfinite(val):
             raise DataError(f"{path}:{line}: non-finite value in column {name!r}")
         out.append(val)
     return out

@@ -75,9 +75,7 @@ class CqrConfig:
             raise DataError("knn only applies to km-knn mode")
         object.__setattr__(self, "taus", check_taus(self.taus))
         if self.search_radius is not None:
-            object.__setattr__(self, "search_radius", check_real("search_radius", self.search_radius))
-            if not self.search_radius > 0:
-                raise DataError("search_radius must be positive")
+            object.__setattr__(self, "search_radius", check_real("search_radius", self.search_radius, 0))
 
 
 @dataclass
@@ -241,9 +239,7 @@ def predict_interval(forest, data, x, level, cfg=CqrConfig()):
     The endpoints are the quantiles at tau = (1-level)/2 and 1 - (1-level)/2,
     taken from the non-crossing grid predictor, so lo <= hi always.
     """
-    if not 0.0 < level < 1.0:
-        raise DataError("level must lie in (0, 1)")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - check_real("level", level, 0, 1)) / 2.0
     lo, hi = predict_quantiles(forest, data, x, replace(cfg, taus=(alpha, 1.0 - alpha)))
     return lo.q_hat, hi.q_hat
 

@@ -63,6 +63,7 @@ class WeightVector:
     __slots__ = ("index", "value", "n")
 
     def __init__(self, index, value, n):
+        n = check_int("n", n, 1)
         index = np.asarray(index, dtype=np.int64)
         value = np.asarray(value, dtype=np.float64)
         if index.shape != value.shape or index.ndim != 1:
@@ -75,7 +76,7 @@ class WeightVector:
         _check_row(index, value, n)
         self.index = index
         self.value = value
-        self.n = int(n)
+        self.n = n
 
     @classmethod
     def from_dense(cls, dense):

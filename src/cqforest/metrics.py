@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, check_tau
-from .survival import _check_survival_inputs
+from .data import DataError, check_outcomes, check_tau
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def c_index(pred, y, event):
     ties score 0.5.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    y, event = _check_survival_inputs(y, event)
+    y, event = check_outcomes(y, event)
     if pred.shape != y.shape:
         raise DataError("pred, y, event must be equal-length vectors")
     if not np.isfinite(pred).all():

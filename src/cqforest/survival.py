@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, check_real, write_table
+from .data import DataError, check_int, check_outcomes, check_real, write_table
 from .forest import WeightVector, _groups, _reversed_cumsum, _row, _Support, _take_rows
 
 
@@ -91,22 +91,6 @@ def _step_curve(ys, end, g):
     return SurvivalCurve(ys[keep], g[keep])
 
 
-def _check_survival_inputs(y, event):
-    y = np.asarray(y, dtype=np.float64)
-    event = np.asarray(event)
-    if y.ndim != 1 or y.size == 0:
-        raise DataError("response must be a nonempty 1-d array")
-    if event.shape != y.shape:
-        raise DataError("event flags must match the response length")
-    if not np.isfinite(y).all():
-        raise DataError("response values must be finite")
-    if event.dtype != np.bool_:
-        if not np.isin(event, (0, 1)).all():
-            raise DataError("event flags must be 0/1")
-        event = event.astype(bool)
-    return y, event
-
-
 def _km(y, event):
     """Kaplan-Meier on counts at every row of (points, m) responses and flags: sorted ys, group ends, values.
 
@@ -126,7 +110,7 @@ def km(y, event):
     Counts only: the risk set at time t holds every row with y >= t, and
     each censored row at t removes a 1/risk share of the remaining mass.
     """
-    y, event = _check_survival_inputs(y, event)
+    y, event = check_outcomes(y, event)
     return _step_curve(*_km(y[None, :], event[None, :]))
 
 
@@ -169,9 +153,7 @@ class BeranNWConfig:
     kernel: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "bandwidth", check_real("bandwidth", self.bandwidth))
-        if not self.bandwidth > 0:
-            raise DataError("bandwidth must be positive")
+        object.__setattr__(self, "bandwidth", check_real("bandwidth", self.bandwidth, 0))
         if self.kernel not in ("gaussian", "epanechnikov"):
             raise DataError(f"unknown kernel {self.kernel!r}")
 
@@ -232,6 +214,7 @@ def nearest_rows(w, k):
     Returned sorted ascending. If fewer than k rows carry positive
     weight, zero-weight rows (lowest indices first) pad the set.
     """
+    k = check_int("k", k, 1)
     return _nearest(w.index[None, :], w.value[None, :], np.array([w.index.size]), k, w.n)[0]
 
 

@@ -205,7 +205,17 @@ class TestExitCodes:
         pred.write_text("row,tau,q_hat\n" + "".join(",".join(r) + "\n" for r in rows))
         out = tmp_path / "e.csv"
         assert main(["evaluate", "--pred", str(pred), "--truth", str(tmp_path / "t.csv"), "--out", str(out)]) == 3
-        assert f"{pred}:5: tau and q_hat must be finite" in capsys.readouterr().err
+        assert f"{pred}:5: non-finite value in column {column!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_non_integer_row_exit_3(self, tmp_path, capsys):
+        truth = simulate(SimConfig(model="aft1d", n=5, censor_rate_param=0.08, seed=4))
+        write_csv(tmp_path / "t.csv", truth)
+        pred = tmp_path / "p.csv"
+        pred.write_text("row,tau,q_hat\n" + "".join(f"{i},0.5,1.0\n" for i in (0, 1, "2.5", 3, 4)))
+        out = tmp_path / "e.csv"
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(tmp_path / "t.csv"), "--out", str(out)]) == 3
+        assert f"{pred}:4: non-integer cell '2.5' in column 'row'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_evaluate_ragged_prediction_rows_exit_3(self, tmp_path, capsys):
@@ -314,7 +324,7 @@ OUT_OF_RANGE = [
     ("simulate-lambda-nan", "simulate --model aft1d --n 10 --lambda nan --out {tmp}/d.csv", "",
      "censor_rate_param must be finite and > 0"),
     ("bench-censor-rate-inf", "bench --spec {tmp}/s.spec --out-dir {tmp}/out", "censor_rate = inf",
-     "censor_rate must be finite and positive"),
+     "censor_rate must be finite and > 0"),
 ]
 
 

@@ -6,7 +6,10 @@ value; the run must exit 0, 2 or 3 and never 4. Sizes stay small (``--n``
 up to 60, ``--trees`` up to 4, bench runs of a few dozen rows), so large
 values of those flags are not tried. Every ``ForestConfig`` that ``fit``
 accepts, numpy scalars included, must save and load back equal, with
-Python field types.
+Python field types. Each library argument of ``test_data.NUMERIC_ARGUMENTS``,
+given a drawn number, numpy scalar or non-number, must either succeed or
+raise ``DataError``; its reals stay within +-50, so ``true_quantile`` is
+not driven to overflow.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cqforest.cli import main  # noqa: E402
 from cqforest.data import DataError, SimConfig, simulate  # noqa: E402
 from cqforest.forest import ForestConfig, fit, load_forest, save_forest  # noqa: E402
+from test_data import NUMERIC_ARGUMENTS  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +151,23 @@ def test_accepted_config_saves_and_loads_equal(small_data, tmp_path_factory, fie
     assert loaded == cfg
     assert [type(v) for v in astuple(loaded)] == [type(v) for v in astuple(cfg)]
     assert all(type(v) in (int, float, bool, type(None)) for v in astuple(cfg))
+
+
+# a number of each kind a library argument may be handed: Python or numpy, in range or not, or not a number at all
+ARGUMENT_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.floats(-50.0, 50.0),
+    st.integers(-3, 40).flatmap(lambda v: st.sampled_from([np.int64(v), np.uint8(max(v, 0)), np.float32(v)])),
+    st.floats(-50.0, 50.0).map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-320, -0.0, None, True, np.True_, "1", [1]]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(argument=st.sampled_from(NUMERIC_ARGUMENTS), value=ARGUMENT_VALUES)
+def test_library_argument_succeeds_or_raises_data_error(argument, value):
+    _, _, call, _ = argument
+    try:
+        call(value)
+    except DataError:
+        pass

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import re
 from pathlib import Path
@@ -9,26 +10,29 @@ import pytest
 from scipy.special import ndtri
 
 from cqforest import data as data_module
-from cqforest.bench import ExperimentSpec
+from cqforest.bench import ExperimentSpec, illustrative_roots
 from cqforest.data import (
     CsvSchema,
     DataError,
     Dataset,
     MODELS,
     SimConfig,
+    _column,
     check_int,
     check_real,
     detect_schema,
     load_csv,
     load_features_csv,
     model_dim,
+    read_table,
     simulate,
     true_quantile,
     write_csv,
 )
-from cqforest.estimator import CqrConfig
-from cqforest.forest import ForestConfig
-from cqforest.survival import BeranNWConfig
+from cqforest.estimator import CqrConfig, candidate_set, predict_interval
+from cqforest.forest import ForestConfig, WeightVector, fit
+from cqforest.metrics import c_index
+from cqforest.survival import BeranNWConfig, km, km_knn, nearest_rows
 
 
 def test_model_dims():
@@ -170,6 +174,18 @@ class TestCheckReal:
         with pytest.raises(DataError, match="r must be a real number"):
             check_real("r", value)
 
+    @pytest.mark.parametrize("low,high,value,message", [
+        (-math.inf, math.inf, math.nan, "r must be finite and > -inf, got nan"),
+        (-math.inf, math.inf, -math.inf, "r must be finite and > -inf, got -inf"),
+        (0, math.inf, math.inf, "r must be finite and > 0, got inf"),
+        (0, math.inf, 0, "r must be finite and > 0, got 0.0"),
+        (0, 1, 1, "r must lie in (0, 1), got 1.0"),
+        (0, 1, math.nan, "r must lie in (0, 1), got nan"),
+    ])
+    def test_refuses_values_outside_the_open_interval(self, low, high, value, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            check_real("r", value, low, high)
+
 
 # each real-valued config field, with a builder of its config from the field's value
 REAL_FIELDS = {
@@ -198,6 +214,73 @@ class TestRealConfigFields:
         for value in (np.float32(0.25), np.float64(0.25)):
             stored = getattr(REAL_FIELDS[name](value), name)
             assert stored == 0.25 and type(stored) is float
+
+
+@functools.cache
+def small_forest():
+    """A two-tree forest on 30 simulated rows, and those rows."""
+    data = simulate(SimConfig(model="aft1d", n=30, censor_rate_param=0.1, seed=1))
+    return fit(data, ForestConfig(min_node_size=5, n_trees=2, seed=1)), data
+
+
+# every public numeric argument that a rule in data.py checks: (id, the name its
+# message gives, a call passing it the value, values out of its range)
+POSITIVE = (0, -0.5)
+NUMERIC_ARGUMENTS = [
+    ("SimConfig.censor_rate_param", "censor_rate_param", REAL_FIELDS["censor_rate_param"], POSITIVE),
+    ("SimConfig.noise_sd", "noise_sd", REAL_FIELDS["noise_sd"], POSITIVE),
+    ("ExperimentSpec.censor_rate", "censor_rate", REAL_FIELDS["censor_rate"], POSITIVE),
+    ("CqrConfig.search_radius", "search_radius", REAL_FIELDS["search_radius"], POSITIVE),
+    ("BeranNWConfig.bandwidth", "bandwidth", REAL_FIELDS["bandwidth"], POSITIVE),
+    ("true_quantile.noise_sd", "noise_sd", lambda v: true_quantile("aft1d", [1.0], 0.9, noise_sd=v), POSITIVE),
+    ("predict_interval.level", "level", lambda v: predict_interval(*small_forest(), [1.0], v), (0, 1, 1.5)),
+    ("WeightVector.n", "n", lambda v: WeightVector([0, 1], [0.5, 0.5], v), (0, -1, 2.7)),
+    ("nearest_rows.k", "k", lambda v: nearest_rows(WeightVector.uniform(4), v), (0, 2.5)),
+    ("candidate_set.k", "k", lambda v: candidate_set(WeightVector.uniform(4), np.arange(4.0), "km-knn", v),
+     (0, 2.5)),
+    ("km_knn.k", "k", lambda v: km_knn(small_forest()[1], WeightVector.uniform(30), v), (0, 2.5)),
+    ("illustrative_roots.n", "n", lambda v: illustrative_roots(v, 0), (0, 2.5)),
+]
+# values every numeric argument refuses; None is allowed where it means "not set"
+NOT_NUMBERS = [True, "0.5", None, math.nan, math.inf, -math.inf]
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("name,call,value", [
+        pytest.param(name, call, value, id=f"{case}-{value!r}")
+        for case, name, call, out_of_range in NUMERIC_ARGUMENTS
+        for value in (*NOT_NUMBERS, *out_of_range)
+        if not (value is None and name in OPTIONAL_REAL_FIELDS)
+    ])
+    def test_refuses_with_a_data_error_naming_the_argument(self, name, call, value):
+        with pytest.raises(DataError, match=rf"\b{name}\b"):
+            call(value)
+
+    def test_true_quantile_default_noise_sd_is_simconfig_s(self):
+        assert true_quantile("aft1d", [1.0], 0.9) == true_quantile("aft1d", [1.0], 0.9, SimConfig.noise_sd)
+
+
+# one fault of a response vector with its event flags, and the message every reader gives for it
+OUTCOME_FAULTS = [
+    ([1.0, math.nan, 3.0], [1, 0, 1], "response values must be finite"),
+    ([1.0, 2.0, 3.0], [1, 2, 0], "event flags must be 0/1 or boolean"),
+    ([1.0, 2.0, 3.0], [1.0, 0.5, 0.0], "event flags must be 0/1 or boolean"),
+    ([1.0, 2.0, 3.0], [1, 0], "event flags must match the response length"),
+    ([], [], "response must be a nonempty 1-d array"),
+    ([[1.0, 2.0]], [[1, 0]], "response must be a nonempty 1-d array"),
+]
+
+
+@pytest.mark.parametrize("y,event,message", OUTCOME_FAULTS)
+def test_outcome_fault_gives_one_message_through_each_reader(y, event, message):
+    readers = {
+        "Dataset": lambda: Dataset(features=np.zeros((max(np.size(y), 1), 1)), response=y, event=event),
+        "km": lambda: km(y, event),
+        "c_index": lambda: c_index(np.zeros(np.shape(y)), y, event),
+    }
+    for read in readers.values():
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read()
 
 
 class TestTrueQuantile:
@@ -391,6 +474,22 @@ class TestCsv:
         path.write_text("x1" * 100_000 + ",y,delta\n1,2,1\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: malformed CSV"):
             detect_schema(path)
+
+    @pytest.mark.parametrize("cell,expected", [
+        ("7", 7), (" -2 ", -2), ("", "missing value in column 'row'"),
+        ("x", "non-integer cell 'x' in column 'row'"), ("2.0", "non-integer cell '2.0' in column 'row'"),
+        ("1e3", "non-integer cell '1e3' in column 'row'"), ("nan", "non-integer cell 'nan' in column 'row'"),
+    ])
+    def test_int_column(self, tmp_path, cell, expected):
+        path = tmp_path / "p.csv"
+        path.write_text(f"row,tau\n0,0.5\n{cell},0.5\n")
+        column = functools.partial(_column, path, *read_table(path))
+        if isinstance(expected, int):
+            values = column("row", kind="int")
+            assert values == [0, expected] and all(type(v) is int for v in values)
+        else:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {expected}')}$"):
+                column("row", kind="int")
 
     def test_features_csv_without_feature_columns(self, tmp_path):
         path = tmp_path / "f.csv"
