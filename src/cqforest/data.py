@@ -69,20 +69,47 @@ def check_real(name, value, low=-math.inf, high=math.inf):
     return value
 
 
+def check_floats(name, values, finite=True):
+    """``values`` as a float64 array (a float64 array as it is, uncopied), or DataError naming ``name``.
+
+    The rule for arrays, as ``check_real`` is for one real: strings, None, bools, ragged nestings, other
+    non-numbers, NaN and +-inf are refused; ``finite=False`` (a step function's query points) lets +-inf by.
+    """
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise DataError(f"{name} must be an array of real numbers")
+    a = a.astype(np.float64, copy=False)
+    if not (np.isfinite(a).all() if finite else not np.isnan(a).any()):
+        raise DataError(f"{name} must be finite" if finite else f"{name} must not be NaN")
+    return a
+
+
+def check_rows(name, values):
+    """Row indices ``values`` as an int64 array, or DataError naming ``name`` unless each is a whole number."""
+    a = check_floats(name, values)
+    if (a != np.trunc(a)).any():
+        raise DataError(f"{name} must be whole numbers")
+    return a.clip(-1, 2**62).astype(np.int64)  # a float past int64 has no cast; clipped, it is still out of range
+
+
 def check_outcomes(y, event):
     """``(y, event)`` as a float array and a bool array, or DataError.
 
     The response must be a nonempty, finite, 1-d array, and the event
     flags bools or 0/1, one per response.
     """
-    y = np.asarray(y, dtype=np.float64)
-    event = np.asarray(event)
+    y = check_floats("response values", y)
+    try:
+        event = np.asarray(event)
+    except (TypeError, ValueError):  # a ragged nesting
+        raise DataError("event flags must be 0/1 or boolean") from None
     if y.ndim != 1 or y.size == 0:
         raise DataError("response must be a nonempty 1-d array")
     if event.shape != y.shape:
         raise DataError("event flags must match the response length")
-    if not np.isfinite(y).all():
-        raise DataError("response values must be finite")
     if event.dtype != np.bool_:
         if not np.isin(event, (0, 1)).all():
             raise DataError("event flags must be 0/1 or boolean")
@@ -124,21 +151,19 @@ class Dataset:
     latent: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
+        x = check_floats("features", self.features)
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise DataError("features must be a nonempty 2-d array")
-        if not np.isfinite(x).all():
-            raise DataError("non-finite value in features")
         y, ev = check_outcomes(self.response, self.event)
         if y.shape != (x.shape[0],):
             raise DataError("features and response lengths differ")
         lat = self.latent
         if lat is not None:
-            lat = np.asarray(lat, dtype=np.float64)
-            if lat.shape != y.shape or not np.isfinite(lat).all():
-                raise DataError("latent vector malformed")
+            lat = check_floats("latent", lat)
+            if lat.shape != y.shape:
+                raise DataError("latent must match the response length")
             # observed rows carry the latent time itself; censored rows sit strictly below it
             if not np.array_equal(y[ev], lat[ev]) or not (y[~ev] < lat[~ev]).all():
                 raise DataError("response/latent/event are mutually inconsistent")
@@ -253,7 +278,7 @@ def true_quantile(model, x, tau, noise_sd=SimConfig.noise_sd):
     tau = check_tau(tau)
     noise_sd = check_real("noise_sd", noise_sd, 0)
     p = model_dim(model)
-    xa = np.asarray(x, dtype=np.float64)
+    xa = check_floats("x", x)
     scalar = xa.ndim < 2
     xa = np.atleast_2d(xa)
     if xa.shape[1] != p:

@@ -32,11 +32,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, check_int, check_real, check_tau, check_taus
+from .data import DataError, check_floats, check_int, check_real, check_tau, check_taus
 from .forest import (
     WeightVector,
     _blocks,
     _groups,
+    _mass_above,
     _points,
     _row,
     _Support,
@@ -97,10 +98,7 @@ class QuantilePrediction:
 
 def score(q, tau, w, curve, y):
     """Evaluate S(q; tau) at scalar or array q (strict indicator Y > q)."""
-    tau = check_tau(tau)
-    g = curve.evaluate(q)
-    above = mass_above(w, y, q)
-    return (1.0 - tau) * g - above
+    return (1.0 - check_tau(tau)) * curve.evaluate(q) - mass_above(w, y, q)
 
 
 def candidate_set(w, y, mode, k=None):
@@ -110,26 +108,10 @@ def candidate_set(w, y, mode, k=None):
     responses of the k highest-weight rows.
     """
     if mode == "km-knn":
-        if k is None:
-            raise DataError("km-knn candidates require k")
         w = WeightVector.uniform_subset(nearest_rows(w, k), w.n)
     elif mode != "beran-rf":
         raise DataError(f"unknown survival mode {mode!r}")
     return support_grid(w, y)[0]
-
-
-def _row_searchsorted(a, v):
-    """np.searchsorted(a[i], v[i], side="right") for every row i of row-wise ascending a.
-
-    Complex numbers sort lexicographically, real part first, so the keys
-    i + 1j * a[i, j] put every row in its own stretch of one sorted array.
-    """
-    rows = np.arange(a.shape[0])[:, None]
-    keys = np.empty(a.shape, dtype=np.complex128)
-    keys.real, keys.imag = rows, a
-    probe = np.empty(v.shape, dtype=np.complex128)
-    probe.real, probe.imag = rows, v
-    return np.searchsorted(keys.ravel(), probe.ravel(), side="right").reshape(v.shape) - rows * a.shape[1]
 
 
 def _roots(cand, valid, above, g, taus):
@@ -149,7 +131,7 @@ def _roots(cand, valid, above, g, taus):
     return _take_rows(cand, pos), residual, _take_rows(g, pos) == 0.0, valid.sum(axis=1)
 
 
-def _solve(rows, data, cfg, taus):
+def _solve(rows, data, cfg):
     """q_hat, residual, degenerate flag (each (points, taus)) and candidate count for a block of weight rows."""
     sup = _Support(rows, data.response)
     if cfg.survival == "beran-rf":
@@ -157,21 +139,21 @@ def _solve(rows, data, cfg, taus):
         cand, valid, above, g = sup.ys, end, sup.suffix[:, 1:], _beran_rf(sup, data.event, first)
     else:
         cand, valid, g = _km_knn(sup, data, cfg.knn)
-        above = _take_rows(sup.suffix, _row_searchsorted(sup.ys, cand))
+        above = _mass_above(sup, cand)
     if cfg.search_radius is not None:
         valid = valid & (np.abs(cand) <= cfg.search_radius)
         if not valid.any(axis=1).all():
             raise DataError("no candidates inside the search radius")
-    return _roots(cand, valid, above, g, taus)
+    return _roots(cand, valid, above, g, cfg.taus)
 
 
-def _solve_rows(rows, data, cfg, taus, threads=1):
+def _solve_rows(rows, data, cfg, threads=1):
     """``_solve`` over every block of rows, in order; threads > 1 maps the blocks over a thread pool."""
 
     def solve(block):
-        return _solve(block, data, cfg, taus)
+        return _solve(block, data, cfg)
 
-    blocks = _blocks(rows, len(taus), cfg.knn or 1)
+    blocks = _blocks(rows, len(cfg.taus), cfg.knn or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(solve, blocks))
@@ -180,16 +162,16 @@ def _solve_rows(rows, data, cfg, taus, threads=1):
 
 def _qhat_table(rows, data, cfg, threads=1):
     """(points, len(cfg.taus)) q_hat table from the points' weight rows."""
-    return np.concatenate([q for q, *_ in _solve_rows(rows, data, cfg, cfg.taus, threads)])
+    return np.concatenate([q for q, *_ in _solve_rows(rows, data, cfg, threads)])
 
 
-def _predictions(xmat, rows, data, cfg, taus, threads=1):
-    """QuantilePrediction lists in tau order, one per row of xmat, from the points' weight rows."""
+def _predictions(xmat, rows, data, cfg, threads=1):
+    """QuantilePrediction lists in cfg.taus order, one per row of xmat, from the points' weight rows."""
     out = []
-    for q, residual, degenerate, count in _solve_rows(rows, data, cfg, taus, threads):
+    for q, residual, degenerate, count in _solve_rows(rows, data, cfg, threads):
         for qs, rs, ds, c in zip(q.tolist(), residual.tolist(), degenerate.tolist(), count.tolist()):
             x = xmat[len(out)]
-            out.append([QuantilePrediction(x, tau, a, r, c, d) for tau, a, r, d in zip(taus, qs, rs, ds)])
+            out.append([QuantilePrediction(x, tau, a, r, c, d) for tau, a, r, d in zip(cfg.taus, qs, rs, ds)])
     return out
 
 
@@ -199,8 +181,7 @@ def predict_with_weights(x, w, data, cfg):
     Lets callers that already hold a ``WeightVector`` skip the forest
     pass; otherwise identical to ``predict_quantiles``.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return _predictions(x[None, :], [_row(w, data.response)], data, cfg, cfg.taus)[0]
+    return _predictions(check_floats("x", x).reshape(1, -1), [_row(w, data.response)], data, cfg)[0]
 
 
 def _check_data(forest, data):
@@ -211,10 +192,10 @@ def _check_data(forest, data):
         raise DataError("data is not the training data this forest was fitted on or loaded with")
 
 
-def _predict_points(forest, data, xmat, cfg, taus, threads=1):
+def _predict_points(forest, data, xmat, cfg, threads=1, one=False):
     _check_data(forest, data)
-    xmat = _points(xmat, forest.n_features)
-    return _predictions(xmat, _weight_rows(forest, xmat), data, cfg, taus, threads)
+    xmat = _points(xmat, forest.n_features, one)
+    return _predictions(xmat, _weight_rows(forest, xmat), data, cfg, threads)
 
 
 def predict_quantile(forest, data, x, tau, cfg=CqrConfig()):
@@ -224,13 +205,12 @@ def predict_quantile(forest, data, x, tau, cfg=CqrConfig()):
     and picks the root of the estimating equation over the candidate
     responses.
     """
-    tau = check_tau(tau)
-    return _predict_points(forest, data, np.asarray(x, dtype=np.float64).reshape(1, -1), cfg, (tau,))[0][0]
+    return _predict_points(forest, data, x, replace(cfg, taus=(tau,)), one=True)[0][0]
 
 
 def predict_quantiles(forest, data, x, cfg):
     """Predictions for the whole cfg.taus grid, non-crossing enforced."""
-    return _predict_points(forest, data, np.asarray(x, dtype=np.float64).reshape(1, -1), cfg, cfg.taus)[0]
+    return _predict_points(forest, data, x, cfg, one=True)[0]
 
 
 def predict_interval(forest, data, x, level, cfg=CqrConfig()):
@@ -240,6 +220,8 @@ def predict_interval(forest, data, x, level, cfg=CqrConfig()):
     taken from the non-crossing grid predictor, so lo <= hi always.
     """
     alpha = (1.0 - check_real("level", level, 0, 1)) / 2.0
+    if not alpha < 1.0 - alpha < 1.0:
+        raise DataError(f"level {level!r} is too close to 0 or 1 to give two distinct quantile levels in (0, 1)")
     lo, hi = predict_quantiles(forest, data, x, replace(cfg, taus=(alpha, 1.0 - alpha)))
     return lo.q_hat, hi.q_hat
 
@@ -256,4 +238,4 @@ def predict_batch(forest, data, xmat, cfg, threads=1):
     the GIL for most of their time, so the pool can use several cores.
     """
     check_int("threads", threads, 1)
-    return _predict_points(forest, data, xmat, cfg, cfg.taus, threads)
+    return _predict_points(forest, data, xmat, cfg, threads)

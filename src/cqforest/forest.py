@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataError, check_int, check_real, check_tau
+from .data import DataError, check_floats, check_int, check_real, check_rows, check_tau
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class WeightVector:
 
     def __init__(self, index, value, n):
         n = check_int("n", n, 1)
-        index = np.asarray(index, dtype=np.int64)
-        value = np.asarray(value, dtype=np.float64)
+        index = check_rows("index", index)
+        value = check_floats("value", value)
         if index.shape != value.shape or index.ndim != 1:
             raise DataError("index/value shape mismatch")
-        keep = value != 0  # a negative or non-finite value stays, for _check_row to refuse
+        keep = value != 0  # a negative value stays, for _check_row to refuse
         index, value = index[keep], value[keep]
         if (np.diff(index) <= 0).any():  # from_dense indices arrive strictly increasing
             order = np.argsort(index, kind="stable")
@@ -80,7 +80,9 @@ class WeightVector:
 
     @classmethod
     def from_dense(cls, dense):
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = check_floats("dense", dense)
+        if dense.ndim != 1:
+            raise DataError("dense must be a 1-d array")
         idx = np.flatnonzero(dense)
         return cls(idx, dense[idx], dense.size)
 
@@ -90,8 +92,8 @@ class WeightVector:
 
     @classmethod
     def uniform_subset(cls, rows, n):
-        rows = np.asarray(rows, dtype=np.int64)
-        return cls(rows, np.full(rows.size, 1.0 / rows.size), n)
+        rows = check_rows("rows", rows)
+        return cls(rows, np.full(rows.size, 1.0) / rows.size, n)
 
     def dense(self):
         out = np.zeros(self.n)
@@ -472,13 +474,12 @@ def _weight_rows(forest, xmat):
             yield index, mass[index]
 
 
-def _points(xmat, p):
-    """xmat as a finite float matrix with p columns, else DataError."""
-    xmat = np.atleast_2d(np.asarray(xmat, dtype=np.float64))
+def _points(xmat, p, one=False):
+    """xmat (with ``one``, the single point x as one row) as a finite float matrix with p columns, else DataError."""
+    xmat = check_floats("test features", xmat)
+    xmat = xmat.reshape(1, -1) if one else np.atleast_2d(xmat)
     if xmat.ndim != 2 or xmat.shape[1] != p:
         raise DataError("test features have the wrong dimension")
-    if not np.isfinite(xmat).all():
-        raise DataError("test features must be finite")
     return xmat
 
 
@@ -493,7 +494,7 @@ def weight_matrix(forest, xmat):
 
 def forest_weights(forest, x):
     """Average of the per-tree weight vectors at x (sparse result)."""
-    xmat = _points(np.asarray(x, dtype=np.float64).reshape(1, -1), forest.n_features)
+    xmat = _points(x, forest.n_features, one=True)
     index, value = next(_weight_rows(forest, xmat))
     return WeightVector(index, value, forest.n_train)
 
@@ -581,7 +582,7 @@ class _Support:
     ``idx``/``val`` are the padded rows in index order; ``order`` sorts
     each row stably by response, ``ys`` holds the sorted responses and
     ``suffix[:, j]`` the weight at sorted positions j and above (0 at
-    j = width), the sums ``mass_above`` reads.
+    j = width), the sums ``_mass_above`` reads.
     """
 
     def __init__(self, rows, y):
@@ -607,8 +608,13 @@ class _Support:
     @classmethod
     def of(cls, w, y):
         """The block of one ``WeightVector`` over responses y."""
-        y = np.asarray(y, dtype=np.float64)
+        y = check_floats("y", y)
         return cls([_row(w, y)], y)
+
+
+def _mass_above(sup, q):
+    """Weight above q[i] in each row i of a block: ``suffix[i][searchsorted(ys[i], q[i], side="right")]``."""
+    return np.array([s[np.searchsorted(ys, v, side="right")] for s, ys, v in zip(sup.suffix, sup.ys, q)])
 
 
 def _row(w, y):
@@ -645,9 +651,8 @@ def support_grid(w, y):
 
 def mass_above(w, y, q):
     """sum_i w_i 1(y_i > q) for scalar or array q."""
-    sup = _Support.of(w, y)
-    q = np.asarray(q, dtype=np.float64)
-    out = sup.suffix[0][np.searchsorted(sup.ys[0], q, side="right")]
+    sup, q = _Support.of(w, y), check_floats("q", q, finite=False)
+    out = _mass_above(sup, q[None])[0]
     return float(out) if q.ndim == 0 else out
 
 
@@ -659,7 +664,7 @@ def quantile_from_weights(w, y, tau):
     """
     scalar = np.ndim(tau) == 0
     taus = [check_tau(t) for t in ([tau] if scalar else tau)]
-    y = np.asarray(y, dtype=np.float64)
+    y = check_floats("y", y)
     q = _weighted_quantile_table([_row(w, y)], y, taus)[0]
     return float(q[0]) if scalar else q
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, check_outcomes, check_tau
+from .data import DataError, check_floats, check_outcomes, check_tau
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,16 @@ def quantile_losses(truth_T, true_Q, pred_Q, tau):
     EvalReport
         Concordance needs the censored outcomes: see ``c_index``.
     """
-    truth_T = np.asarray(truth_T, dtype=np.float64)
-    pred_Q = np.asarray(pred_Q, dtype=np.float64)
+    truth_T = check_floats("truth_T", truth_T)
+    pred_Q = check_floats("pred_Q", pred_Q)
     if truth_T.shape != pred_Q.shape or truth_T.ndim != 1 or truth_T.size == 0:
         raise DataError("truth/prediction vectors must be equal-length and nonempty")
-    if not (np.isfinite(truth_T).all() and np.isfinite(pred_Q).all()):
-        raise DataError("truth and prediction values must be finite")
     l_quantile = float(np.mean(pinball(truth_T - pred_Q, tau)))
     l_mse = l_mad = None
     if true_Q is not None:
-        true_Q = np.asarray(true_Q, dtype=np.float64)
+        true_Q = check_floats("true_Q", true_Q)
         if true_Q.shape != pred_Q.shape:
             raise DataError("true quantile vector length mismatch")
-        if not np.isfinite(true_Q).all():
-            raise DataError("true quantiles must be finite")
         err = pred_Q - true_Q
         l_mse = float(np.mean(err * err))
         l_mad = float(np.mean(np.abs(err)))
@@ -91,12 +87,10 @@ def c_index(pred, y, event):
     case failing first has the strictly smaller prediction; prediction
     ties score 0.5.
     """
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = check_floats("pred", pred)
     y, event = check_outcomes(y, event)
     if pred.shape != y.shape:
         raise DataError("pred, y, event must be equal-length vectors")
-    if not np.isfinite(pred).all():
-        raise DataError("predictions must be finite")
     # ordered pairs (i, j) with i the case failing first, a block of i at a time;
     # the counts are integers, so the result does not depend on the blocking
     n_usable = wins = ties = 0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, check_int, check_outcomes, check_real, write_table
+from .data import DataError, check_floats, check_int, check_outcomes, check_real, write_table
 from .forest import WeightVector, _groups, _reversed_cumsum, _row, _Support, _take_rows
 
 
@@ -41,8 +41,8 @@ class SurvivalCurve:
     __slots__ = ("jump_times", "values")
 
     def __init__(self, jump_times, values):
-        jump_times = np.asarray(jump_times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+        jump_times = check_floats("jump_times", jump_times)
+        values = check_floats("values", values)
         if jump_times.shape != values.shape or jump_times.ndim != 1:
             raise DataError("jump_times/values shape mismatch")
         if jump_times.size and not (np.diff(jump_times) > 0).all():
@@ -54,7 +54,7 @@ class SurvivalCurve:
 
     def evaluate(self, q):
         """Curve value at scalar or array q (1 before the first jump)."""
-        q = np.asarray(q, dtype=np.float64)
+        q = check_floats("q", q, finite=False)
         padded = np.append(1.0, self.values)
         out = padded[np.searchsorted(self.jump_times, q, side="right")]
         return float(out) if q.ndim == 0 else out
@@ -171,7 +171,7 @@ def beran_nw(data, x, cfg):
     Epanechnikov kernel; rows with zero kernel weight drop out of the
     risk sets entirely.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = check_floats("x", x).ravel()
     if x.size != data.p:
         raise DataError("test point has the wrong dimension")
     z = np.sqrt(((data.features - x) ** 2).sum(axis=1)) / cfg.bandwidth
@@ -196,15 +196,8 @@ def _nearest(idx, val, nnz, k, n):
         val = np.concatenate([val, np.zeros((nnz.size, k - val.shape[1]))], axis=1)
     # indices ascend along each row, so a stable sort sends ties to the lower index
     top = _take_rows(idx, np.argsort(-val, axis=1, kind="stable")[:, :k])
-    short = np.flatnonzero(nnz < k)
-    if short.size:
-        # at most nnz of rows 0..k-1 carry weight, so they hold enough free rows
-        taken = np.zeros((short.size, k + 1), dtype=bool)
-        taken[np.arange(short.size)[:, None], np.minimum(idx[short], k)] = True
-        free = ~taken[:, :k]
-        rank = np.cumsum(free, axis=1)
-        r, c = np.nonzero(free & (rank <= (k - nnz[short])[:, None]))
-        top[short[r], nnz[short[r]] + rank[r, c] - 1] = c
+    for i in np.flatnonzero(nnz < k):  # at most nnz of rows 0..k-1 carry weight, so they hold enough free rows
+        top[i, nnz[i] :] = np.setdiff1d(np.arange(k), idx[i, : nnz[i]])[: k - nnz[i]]
     return np.sort(top, axis=1)
 
 

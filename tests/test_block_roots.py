@@ -32,7 +32,7 @@ TAUS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def block_table(rows, data, cfg):
     """(points, taus, 4) float64 table of the block pass's prediction fields."""
-    preds = estimator._predictions(np.zeros((len(rows), 1)), rows, data, cfg, cfg.taus)
+    preds = estimator._predictions(np.zeros((len(rows), 1)), rows, data, cfg)
     return np.array(
         [[(p.q_hat, p.residual, p.candidate_count, p.degenerate_tail) for p in per_point] for per_point in preds],
         dtype=np.float64,

@@ -9,7 +9,9 @@ accepts, numpy scalars included, must save and load back equal, with
 Python field types. Each library argument of ``test_data.NUMERIC_ARGUMENTS``,
 given a drawn number, numpy scalar or non-number, must either succeed or
 raise ``DataError``; its reals stay within +-50, so ``true_quantile`` is
-not driven to overflow.
+not driven to overflow. So must each array argument of
+``test_data.ARRAY_ARGUMENTS`` and ``QUERY_ARGUMENTS``, given such a value,
+a list or a nested list of them, or a numpy array of any dtype.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cqforest.cli import main  # noqa: E402
 from cqforest.data import DataError, SimConfig, simulate  # noqa: E402
 from cqforest.forest import ForestConfig, fit, load_forest, save_forest  # noqa: E402
-from test_data import NUMERIC_ARGUMENTS  # noqa: E402
+from test_data import ARRAY_ARGUMENTS, NUMERIC_ARGUMENTS, QUERY_ARGUMENTS  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +169,28 @@ ARGUMENT_VALUES = st.one_of(
 @given(argument=st.sampled_from(NUMERIC_ARGUMENTS), value=ARGUMENT_VALUES)
 def test_library_argument_succeeds_or_raises_data_error(argument, value):
     _, _, call, _ = argument
+    try:
+        call(value)
+    except DataError:
+        pass
+
+
+# an array of each kind a library array argument may be handed: one value, a (nested) list, or a numpy array
+ARRAY_VALUES = st.one_of(
+    ARGUMENT_VALUES,
+    st.lists(ARGUMENT_VALUES, max_size=4),
+    st.lists(st.lists(ARGUMENT_VALUES, max_size=3), max_size=3),
+    st.lists(st.floats(-50.0, 50.0), max_size=4).flatmap(
+        lambda v: st.sampled_from([np.float64, np.float32, np.complex128, object, str]).map(lambda t: np.array(v, t))),
+    st.lists(st.integers(-3, 40), max_size=4).flatmap(
+        lambda v: st.sampled_from([np.int64, np.int8, np.bool_]).map(lambda t: np.array(v, t))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(call=st.sampled_from([case[2] for case in ARRAY_ARGUMENTS] + [case[1] for case in QUERY_ARGUMENTS]),
+       value=ARRAY_VALUES)
+def test_library_array_argument_succeeds_or_raises_data_error(call, value):
     try:
         call(value)
     except DataError:

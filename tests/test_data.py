@@ -18,8 +18,10 @@ from cqforest.data import (
     MODELS,
     SimConfig,
     _column,
+    check_floats,
     check_int,
     check_real,
+    check_rows,
     detect_schema,
     load_csv,
     load_features_csv,
@@ -29,10 +31,28 @@ from cqforest.data import (
     true_quantile,
     write_csv,
 )
-from cqforest.estimator import CqrConfig, candidate_set, predict_interval
-from cqforest.forest import ForestConfig, WeightVector, fit
-from cqforest.metrics import c_index
-from cqforest.survival import BeranNWConfig, km, km_knn, nearest_rows
+from cqforest.estimator import (
+    CqrConfig,
+    candidate_set,
+    predict_batch,
+    predict_interval,
+    predict_quantile,
+    predict_quantiles,
+    predict_with_weights,
+    score,
+)
+from cqforest.forest import (
+    ForestConfig,
+    WeightVector,
+    fit,
+    forest_weights,
+    mass_above,
+    quantile_from_weights,
+    support_grid,
+    weight_matrix,
+)
+from cqforest.metrics import c_index, quantile_losses
+from cqforest.survival import BeranNWConfig, SurvivalCurve, beran_nw, km, km_knn, nearest_rows
 
 
 def test_model_dims():
@@ -233,7 +253,9 @@ NUMERIC_ARGUMENTS = [
     ("CqrConfig.search_radius", "search_radius", REAL_FIELDS["search_radius"], POSITIVE),
     ("BeranNWConfig.bandwidth", "bandwidth", REAL_FIELDS["bandwidth"], POSITIVE),
     ("true_quantile.noise_sd", "noise_sd", lambda v: true_quantile("aft1d", [1.0], 0.9, noise_sd=v), POSITIVE),
-    ("predict_interval.level", "level", lambda v: predict_interval(*small_forest(), [1.0], v), (0, 1, 1.5)),
+    # 1e-17 and 1 - 2**-53 lie in (0, 1), but the interval's two taus round to 0.5 and 0.5, or to 0 and 1
+    ("predict_interval.level", "level", lambda v: predict_interval(*small_forest(), [1.0], v),
+     (0, 1, 1.5, 1e-17, 1 - 2**-53)),
     ("WeightVector.n", "n", lambda v: WeightVector([0, 1], [0.5, 0.5], v), (0, -1, 2.7)),
     ("nearest_rows.k", "k", lambda v: nearest_rows(WeightVector.uniform(4), v), (0, 2.5)),
     ("candidate_set.k", "k", lambda v: candidate_set(WeightVector.uniform(4), np.arange(4.0), "km-knn", v),
@@ -258,6 +280,152 @@ class TestNumericArguments:
 
     def test_true_quantile_default_noise_sd_is_simconfig_s(self):
         assert true_quantile("aft1d", [1.0], 0.9) == true_quantile("aft1d", [1.0], 0.9, SimConfig.noise_sd)
+
+
+class TestCheckFloats:
+    @pytest.mark.parametrize("values", [[1, 2], [[1.5], [2.0]], np.arange(3, dtype=np.int8),
+                                        np.arange(3, dtype=np.uint16), np.arange(3, dtype=np.float32), 2.5])
+    def test_numbers_convert_as_float64_does(self, values):
+        out = check_floats("a", values)
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+    def test_a_float64_array_is_not_copied(self):
+        a = np.arange(4.0)
+        assert check_floats("a", a) is a
+
+    @pytest.mark.parametrize("values", [["1"], [1.0, None], None, [[1.0], [1.0, 2.0]], np.array([True]),
+                                        np.array([1j]), np.array([1.0], dtype=object), [2**70]])
+    def test_refuses_non_numbers(self, values):
+        with pytest.raises(DataError, match="^a must be an array of real numbers$"):
+            check_floats("a", values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_values(self, bad):
+        with pytest.raises(DataError, match="^a must be finite$"):
+            check_floats("a", [1.0, bad])
+
+    def test_query_points_keep_infinities_but_not_nan(self):
+        assert check_floats("q", [-math.inf, math.inf], finite=False).tolist() == [-math.inf, math.inf]
+        with pytest.raises(DataError, match="^q must not be NaN$"):
+            check_floats("q", [1.0, math.nan], finite=False)
+
+
+class TestCheckRows:
+    @pytest.mark.parametrize("values", [[0, 2], np.array([0, 2], dtype=np.uint8), [0.0, 2.0], np.array([-0.0, 2.0])])
+    def test_whole_numbers_become_int64(self, values):
+        out = check_rows("rows", values)
+        assert out.dtype == np.int64 and out.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf, "1", None])
+    def test_refuses_what_is_not_a_whole_number(self, bad):
+        with pytest.raises(DataError, match=r"^rows must be (whole numbers|finite|an array of real numbers)$"):
+            check_rows("rows", [0, bad])
+
+    def test_a_float_beyond_int64_stays_out_of_range(self):
+        assert check_rows("rows", [-1e300, 1e300]).tolist() == [-1, 2**62]
+
+
+W3 = WeightVector([0, 1, 2], [0.25, 0.25, 0.5], 3)
+Y3 = [1.0, 2.0, 3.0]
+X3 = [[0.0], [1.0], [2.0]]
+CURVE = SurvivalCurve([1.0, 2.0], [0.5, 0.25])
+
+# every public array argument that check_floats or check_rows checks: (id, the name its message
+# gives, a call passing it the value, a value it accepts, whether it holds row indices)
+ARRAY_ARGUMENTS = [
+    ("Dataset.features", "features", lambda v: Dataset(features=v, response=Y3, event=[1, 0, 1]), X3, False),
+    ("Dataset.response", "response", lambda v: Dataset(features=X3, response=v, event=[1, 0, 1]), Y3, False),
+    ("Dataset.latent", "latent", lambda v: Dataset(features=X3, response=Y3, event=[1, 0, 1], latent=v),
+     [1.0, 2.5, 3.0], False),
+    ("km.y", "response", lambda v: km(v, [1, 0, 1]), Y3, False),
+    ("c_index.pred", "pred", lambda v: c_index(v, Y3, [1, 0, 1]), Y3, False),
+    ("c_index.y", "response", lambda v: c_index(Y3, v, [1, 0, 1]), Y3, False),
+    ("predict_quantile.x", "test features", lambda v: predict_quantile(*small_forest(), v, 0.5), [1.0], False),
+    ("predict_quantiles.x", "test features", lambda v: predict_quantiles(*small_forest(), v, CqrConfig()), [1.0],
+     False),
+    ("predict_interval.x", "test features", lambda v: predict_interval(*small_forest(), v, 0.8), [1.0], False),
+    ("predict_batch.xmat", "test features", lambda v: predict_batch(*small_forest(), v, CqrConfig()), X3, False),
+    ("predict_with_weights.x", "x",
+     lambda v: predict_with_weights(v, WeightVector.uniform(30), small_forest()[1], CqrConfig()), [1.0], False),
+    ("forest_weights.x", "test features", lambda v: forest_weights(small_forest()[0], v), [1.0], False),
+    ("weight_matrix.xmat", "test features", lambda v: weight_matrix(small_forest()[0], v), X3, False),
+    ("beran_nw.x", "x", lambda v: beran_nw(small_forest()[1], v, BeranNWConfig(bandwidth=0.5)), [1.0], False),
+    ("true_quantile.x", "x", lambda v: true_quantile("aft1d", v, 0.5), [1.0], False),
+    ("WeightVector.index", "index", lambda v: WeightVector(v, [0.5, 0.5], 3), [0, 2], True),
+    ("WeightVector.value", "value", lambda v: WeightVector([0, 2], v, 3), [0.5, 0.5], False),
+    ("WeightVector.from_dense", "dense", WeightVector.from_dense, [0.5, 0.0, 0.5], False),
+    ("WeightVector.uniform_subset", "rows", lambda v: WeightVector.uniform_subset(v, 3), [0, 2], True),
+    ("mass_above.y", "y", lambda v: mass_above(W3, v, 2.0), Y3, False),
+    ("support_grid.y", "y", lambda v: support_grid(W3, v), Y3, False),
+    ("candidate_set.y", "y", lambda v: candidate_set(W3, v, "beran-rf"), Y3, False),
+    ("quantile_from_weights.y", "y", lambda v: quantile_from_weights(W3, v, 0.5), Y3, False),
+    ("SurvivalCurve.jump_times", "jump_times", lambda v: SurvivalCurve(v, [0.5, 0.25]), [1.0, 2.0], False),
+    ("SurvivalCurve.values", "values", lambda v: SurvivalCurve([1.0, 2.0], v), [0.5, 0.25], False),
+    ("quantile_losses.truth_T", "truth_T", lambda v: quantile_losses(v, Y3, Y3, 0.5), Y3, False),
+    ("quantile_losses.true_Q", "true_Q", lambda v: quantile_losses(Y3, v, Y3, 0.5), Y3, False),
+    ("quantile_losses.pred_Q", "pred_Q", lambda v: quantile_losses(Y3, Y3, v, 0.5), Y3, False),
+]
+# query points of a step function, which has a value at +-inf: (id, call, a value it accepts)
+QUERY_ARGUMENTS = [
+    ("mass_above.q", lambda v: mass_above(W3, Y3, v), [1.0, 2.0]),
+    ("SurvivalCurve.evaluate.q", CURVE.evaluate, [1.0, 2.0]),
+    ("score.q", lambda v: score(v, 0.5, W3, CURVE, Y3), [1.0, 2.0]),
+]
+
+
+def spoiled(good, entry):
+    """``good``, a list or a list of lists, with its first number replaced by ``entry``."""
+    if isinstance(good[0], list):
+        return [spoiled(good[0], entry), *good[1:]]
+    return [entry, *good[1:]]
+
+
+RAGGED = [[1.0], [1.0, 2.0]]
+
+
+def bad_arrays(good, rows):
+    """A ragged nesting, and ``good`` with a string, None, NaN or +-inf entry (or a fraction, for row indices)."""
+    entries = {"string": "1", "none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    if rows:
+        entries["fraction"] = 0.5
+    return {"ragged": RAGGED, **{kind: spoiled(good, entry) for kind, entry in entries.items()}}
+
+
+class TestArrayArguments:
+    @pytest.mark.parametrize("call,good", [
+        pytest.param(call, good, id=case) for case, _, call, good, _ in ARRAY_ARGUMENTS
+    ] + [pytest.param(call, good, id=case) for case, call, good in QUERY_ARGUMENTS])
+    def test_accepts_its_good_value(self, call, good):
+        call(good)
+        call(np.array(good))
+
+    @pytest.mark.parametrize("name,call,value", [
+        pytest.param(name, call, value, id=f"{case}-{kind}")
+        for case, name, call, good, rows in ARRAY_ARGUMENTS
+        for kind, value in bad_arrays(good, rows).items()
+    ])
+    def test_refuses_with_a_data_error_naming_the_argument(self, name, call, value):
+        with pytest.raises(DataError, match=rf"\b{name}\b"):
+            call(value)
+
+    @pytest.mark.parametrize("call,value", [
+        pytest.param(call, value, id=f"{case}-{kind}")
+        for case, call, good in QUERY_ARGUMENTS
+        for kind, value in {"ragged": RAGGED, "string": spoiled(good, "1"), "none": spoiled(good, None),
+                            "nan": spoiled(good, math.nan)}.items()
+    ])
+    def test_query_points_refuse_nan_and_non_numbers(self, call, value):
+        with pytest.raises(DataError, match=r"\bq\b"):
+            call(value)
+
+    def test_query_points_keep_their_values_at_infinity(self):
+        y = np.array(Y3)
+        assert mass_above(W3, y, [-math.inf, math.inf]).tolist() == [1.0, 0.0]
+        assert mass_above(W3, y, math.inf) == 0.0 and mass_above(W3, y, -math.inf) == 1.0
+        assert CURVE.evaluate([-math.inf, math.inf]).tolist() == [1.0, 0.25]
+        assert score(math.inf, 0.5, W3, CURVE, y) == 0.5 * 0.25
+        assert score(-math.inf, 0.5, W3, CURVE, y) == 0.5 - 1.0
 
 
 # one fault of a response vector with its event flags, and the message every reader gives for it
