@@ -2,7 +2,7 @@
 
 All inputs and outputs are headered CSV (plus the binary model file), all
 randomness flows from --seed flags, and exit codes are 0 (success),
-2 (usage error), 3 (data/file error), 4 (internal error).
+2 (usage error), 3 (data/file error, or out of memory), 4 (internal error).
 """
 
 import argparse
@@ -203,6 +203,10 @@ def main(argv=None):
         return int(args.func(args) or 0)
     except (DataError, OSError) as exc:
         print(f"cqforest: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # the last net: arguments asking for more memory than the machine has
+        print(f"cqforest: error: {args.command} ran out of memory ({exc or 'no details'}); "
+              "ask for fewer rows, trees or points", file=sys.stderr)
         return 3
     except Exception as exc:  # truly unexpected; keep the contract of a clean code
         print(f"cqforest: internal error: {exc!r}", file=sys.stderr)

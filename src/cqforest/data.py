@@ -74,12 +74,16 @@ def check_floats(name, values, finite=True):
 
     The rule for arrays, as ``check_real`` is for one real: strings, None, bools, ragged nestings, other
     non-numbers, NaN and +-inf are refused; ``finite=False`` (a step function's query points) lets +-inf by.
+    A bool inside a nesting of numbers is refused too: numpy would read ``[True, 2.0]`` as ``[1.0, 2.0]``.
     """
     try:
         a = np.asarray(values)
     except (TypeError, ValueError):  # a ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "iuf":
+    if a is None or a.dtype.kind not in "iuf" or (
+        not isinstance(values, np.ndarray)  # an ndarray's dtype says it all, and it is not copied
+        and not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
+    ):
         raise DataError(f"{name} must be an array of real numbers")
     a = a.astype(np.float64, copy=False)
     if not (np.isfinite(a).all() if finite else not np.isnan(a).any()):

@@ -13,7 +13,7 @@ import json
 import math
 import zipfile
 from array import array
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -113,6 +113,9 @@ class _Nodes:
     tree-local ids, so node ``roots[t] + left[g]`` is the left child of
     global node g. The in-bag rows of leaf g are
     ``rows[row_ptr[g]:row_ptr[g + 1]]`` (empty for internal nodes).
+    A forest holds ``rows`` in the smallest unsigned dtype that holds n
+    (``np.min_scalar_type(n)``: uint16 up to n = 65,535); the model file
+    keeps them int32.
     """
 
     feature: np.ndarray
@@ -122,6 +125,29 @@ class _Nodes:
     roots: np.ndarray
     row_ptr: np.ndarray
     rows: np.ndarray
+
+    @cached_property
+    def walk(self):
+        """The fixed-depth walk's tables ``(child, feature, depth)``, derived on first use and never saved.
+
+        ``child[2 * g]`` and ``child[2 * g + 1]`` are the global ids of
+        node g's left and right child, and both of a leaf's entries are g
+        itself; ``feature`` is g's split feature, 0 at a leaf; ``depth``
+        is the deepest leaf's depth over every tree. Both tables are
+        int32, 12 bytes a node.
+        """
+        m = self.feature.size
+        internal = self.feature >= 0
+        root = np.repeat(self.roots, np.diff(np.append(self.roots, m)))  # each node's tree root
+        child = np.repeat(np.arange(m, dtype=np.int32), 2).reshape(m, 2)
+        child[internal, 0] = root[internal] + self.left[internal]
+        child[internal, 1] = root[internal] + self.right[internal]
+        depth, level = 0, self.roots[internal[self.roots]]
+        while level.size:
+            level = child[level].ravel()
+            level = level[internal[level]]
+            depth += 1
+        return child.ravel(), np.where(internal, self.feature, 0).astype(np.int32), depth
 
 
 def _trees(nodes):
@@ -189,9 +215,10 @@ class _Group:
     Every tree keeps its own rng and depth-first stack, so it draws its
     bag and its feature subsets, and numbers its nodes, exactly as if it
     were grown alone. ``bag`` is the forest's ``rows`` store, holding the
-    trees' bags back to back; a node is a range of its tree's bag, and a
-    split writes the range back sorted by the chosen feature, so the left
-    child is its first ``cut`` rows and the right child the rest. A step's
+    trees' bags back to back in ``_Nodes``' compact dtype; a node is a
+    range of its tree's bag, and a split writes the range back sorted by
+    the chosen feature, so the left child is its first ``cut`` rows and
+    the right child the rest. A step's
     nodes are sorted by size and scored a chunk at a time, padded on the
     right to the chunk's widest. ``ranks`` and ``y`` carry a pad entry at
     row n: its rank is the dtype's largest, which a stable sort keeps
@@ -203,7 +230,7 @@ class _Group:
         self.x, self.ranks, self.y, self.cfg, self.mtry = x, ranks, y, cfg, mtry
         n = x.shape[0]
         self.rngs = [np.random.default_rng(s) for s in seeds]
-        self.bag = np.empty(len(seeds) * n, dtype=np.int32)
+        self.bag = np.empty(len(seeds) * n, dtype=np.min_scalar_type(n))  # holds the pad row n too
         for t, rng in enumerate(self.rngs):
             self.bag[t * n : (t + 1) * n] = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         self.stacks = [[(0, 0, n)] for _ in seeds]  # (node id, start in the tree's bag, size) per tree
@@ -418,22 +445,26 @@ def fit(data, cfg, threads=1, feature_names=None):
 
 
 def _descend(nodes, roots, xmat):
-    """Leaf reached by every lane, a lane being one (point, tree) pair.
+    """Leaf reached by every lane, a lane being one (point, tree) pair, as global node ids.
 
     Lanes are point-major: lane ``i * len(roots) + t`` walks the tree
-    rooted at ``roots[t]`` for row i of xmat. Each step moves every lane
-    still on an internal node down one level, so the Python loop runs
-    once per level, not once per node or tree. Returns global node ids.
+    rooted at ``roots[t]`` for row i of xmat. Every lane takes the
+    store's maximum depth in steps of
+    ``node = child[2 * node + (x[feature[node]] > threshold[node])]``
+    (``_Nodes.walk``), unmasked: a leaf's NaN threshold makes the
+    comparison False and its child is itself, so a lane stays on the leaf
+    it reached. The Python loop runs once per level, not once per node or
+    tree. For finite x, ``x > t`` is exactly ``not x <= t``. Lanes hold
+    ``intp`` ids, converted once a step from the int32 table, since
+    ``take`` would convert int32 indices on each of its three calls.
     """
-    base = np.tile(roots, xmat.shape[0])
-    point = np.repeat(np.arange(xmat.shape[0]), roots.size)
-    node = base.copy()
-    live = np.flatnonzero(nodes.feature[node] >= 0)
-    while live.size:
-        at = node[live]
-        go_left = xmat[point[live], nodes.feature[at]] <= nodes.threshold[at]
-        node[live] = base[live] + np.where(go_left, nodes.left[at], nodes.right[at])
-        live = live[nodes.feature[node[live]] >= 0]
+    child, feature, depth = nodes.walk
+    x = np.ascontiguousarray(xmat).ravel()
+    node = np.tile(roots.astype(np.intp), xmat.shape[0])
+    start = np.repeat(np.arange(0, x.size, xmat.shape[1]), roots.size)  # each lane's point in x
+    for _ in range(depth):
+        right = x.take(start + feature.take(node)) > nodes.threshold.take(node)
+        node = child.take(2 * node + right).astype(np.intp)
     return node
 
 
@@ -710,7 +741,8 @@ def save_forest(forest, path):
     The archive holds the ``_Nodes`` arrays under their field names and
     a 0-d string array ``header``: JSON with the format tag, version,
     config, training-data dimensions, feature names, the training-data
-    checksum and the arrays' SHA-256 digest.
+    checksum and the arrays' SHA-256 digest. Each array is written in its
+    ``_STORE`` dtype, so ``rows`` is int32 whatever its dtype in memory.
     """
     arrays = {k: np.asarray(getattr(forest._nodes, k), dtype=t) for k, t in _STORE.items()}
     head = {
@@ -787,7 +819,9 @@ def load_forest(path, data):
     the supplied data is not what the forest was fitted on. The header,
     the arrays' digest and the tree structure (``_check_store``) are all
     validated, so a corrupt file raises DataError instead of
-    mispredicting or hanging. Only format version 2 is read.
+    mispredicting or hanging. Only format version 2 is read. The int32
+    ``rows`` are checked as read, then narrowed to ``_Nodes``' compact
+    dtype.
     """
     with open(path, "rb") as fh:
         try:
@@ -826,6 +860,7 @@ def load_forest(path, data):
         _check_store(nodes, cfg.n_trees, data.p, data.n)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    nodes = replace(nodes, rows=nodes.rows.astype(np.min_scalar_type(data.n)))
     return Forest(
         config=cfg,
         n_train=data.n,

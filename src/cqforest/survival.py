@@ -188,16 +188,29 @@ def _nearest(idx, val, nnz, k, n):
 
     Ties go to the lower index; a row with fewer than k weighted rows
     fills the open slots with the lowest-index rows outside its support.
+    A selection, not a sort: ``np.partition`` finds each row's k-th
+    largest weight, every entry above it is taken, and then the
+    lowest-index entries equal to it. Ties are ranked by index, not by
+    position, so the result does not depend on the order of a row's
+    entries.
     """
     if not 1 <= k <= n:
         raise DataError("k must lie in [1, n]")
     if idx.shape[1] < k:
         idx = np.concatenate([idx, np.full((nnz.size, k - idx.shape[1]), n)], axis=1)
         val = np.concatenate([val, np.zeros((nnz.size, k - val.shape[1]))], axis=1)
-    # indices ascend along each row, so a stable sort sends ties to the lower index
-    top = _take_rows(idx, np.argsort(-val, axis=1, kind="stable")[:, :k])
+    cut = idx.shape[1] - k
+    kth = np.partition(val, cut, axis=1)[:, cut : cut + 1]
+    take = val > kth
+    row, col = np.nonzero(val == kth)
+    by_index = np.argsort(row * (n + 1) + idx[row, col])
+    row, col = row[by_index], col[by_index]
+    rank = np.arange(row.size) - np.searchsorted(row, row)  # among the row's ties, by index
+    keep = rank < (k - take.sum(axis=1))[row]
+    take[row[keep], col[keep]] = True
+    top = idx[take].reshape(-1, k)
     for i in np.flatnonzero(nnz < k):  # at most nnz of rows 0..k-1 carry weight, so they hold enough free rows
-        top[i, nnz[i] :] = np.setdiff1d(np.arange(k), idx[i, : nnz[i]])[: k - nnz[i]]
+        top[i, top[i] == n] = np.setdiff1d(np.arange(k), idx[i, : nnz[i]])[: k - nnz[i]]
     return np.sort(top, axis=1)
 
 

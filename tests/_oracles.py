@@ -246,8 +246,9 @@ def reference_trees(x, y, cfg, mtry):
 def differing_trees(trees, refs):
     """Indices of the one-tree stores whose nodes or leaf rows differ from their reference in any byte.
 
-    The stores' arrays are compared as stored (int32 ids and rows, int64
-    row pointers, float64 thresholds); the reference is cast to those
+    The stores' arrays are compared as stored (int32 ids, int64 row
+    pointers, float64 thresholds, and rows in the smallest unsigned dtype
+    that holds the n training rows); the reference is cast to those
     dtypes, its leaf rows laid out back to back in node order.
     """
     if len(trees) != len(refs):
@@ -255,6 +256,7 @@ def differing_trees(trees, refs):
     out = []
     for t, (tree, (feature, threshold, left, right, leaf_rows)) in enumerate(zip(trees, refs)):
         sizes = [0 if r is None else len(r) for r in leaf_rows]
+        n = sum(sizes)  # a tree's leaves hold its n-row bag
         pairs = [
             (tree.feature, np.asarray(feature, dtype=np.int32)),
             (tree.threshold, np.asarray(threshold, dtype=np.float64)),
@@ -262,7 +264,7 @@ def differing_trees(trees, refs):
             (tree.right, np.asarray(right, dtype=np.int32)),
             (tree.roots, np.zeros(1, dtype=np.int64)),
             (tree.row_ptr, np.cumsum([0] + sizes, dtype=np.int64)),
-            (tree.rows, np.concatenate([r for r in leaf_rows if r is not None]).astype(np.int32)),
+            (tree.rows, np.concatenate([r for r in leaf_rows if r is not None]).astype(np.min_scalar_type(n))),
         ]
         if not all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs):
             out.append(t)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqforest import cli
 from cqforest.cli import main
 from cqforest.data import DataError, SimConfig, detect_schema, load_csv, simulate, write_csv
 from cqforest.estimator import CqrConfig, predict_batch
@@ -158,6 +159,24 @@ class TestExitCodes:
         bad.write_text("x1,y\n1.0,2.0\n")  # no delta column
         assert main(["fit", "--data", str(bad), "--model-out", str(tmp_path / "m.json")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_memory_error_exits_3_naming_the_command(self, tmp_path, capsys, monkeypatch, command):
+        # the library call that would allocate raises as numpy does; nothing is allocated for real
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1)")
+
+        train = tmp_path / "train.csv"
+        write_csv(train, simulate(SimConfig(model="aft1d", n=20, censor_rate_param=0.2, seed=1)))
+        monkeypatch.setattr(cli, command, exhausted)
+        argv = {
+            "simulate": ["simulate", "--model", "aft1d", "--n", "10", "--lambda", "0.2", "--out", str(tmp_path / "s.csv")],
+            "fit": ["fit", "--data", str(train), "--trees", "2", "--model-out", str(tmp_path / "m.npz")],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"cqforest: error: {command} ran out of memory (Unable to allocate")
+        assert "internal error" not in err
 
     def test_model_data_binding_checked(self, tmp_path, capsys):
         a = simulate(SimConfig(model="aft1d", n=30, censor_rate_param=0.08, seed=1))

@@ -385,8 +385,11 @@ RAGGED = [[1.0], [1.0, 2.0]]
 
 
 def bad_arrays(good, rows):
-    """A ragged nesting, and ``good`` with a string, None, NaN or +-inf entry (or a fraction, for row indices)."""
-    entries = {"string": "1", "none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    """A ragged nesting, and ``good`` with a string, None, bool, NaN or +-inf entry (or a fraction, for row indices).
+
+    numpy reads a bool among numbers as 0 or 1, so only the rule can refuse it.
+    """
+    entries = {"string": "1", "none": None, "bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
     if rows:
         entries["fraction"] = 0.5
     return {"ragged": RAGGED, **{kind: spoiled(good, entry) for kind, entry in entries.items()}}

@@ -477,6 +477,109 @@ class TestFlatWalkAndScatter:
             assert len(forest.trees) == 3 and "trees" in vars(forest)
 
 
+def stacked(trees):
+    """One store holding the one-tree stores ``trees`` back to back, as ``fit`` lays out a forest."""
+    return _Nodes(
+        *(np.concatenate([getattr(t, k) for t in trees]) for k in ("feature", "threshold", "left", "right")),
+        roots=np.cumsum([0] + [t.feature.size for t in trees[:-1]]),
+        row_ptr=np.cumsum([0] + [c for t in trees for c in np.diff(t.row_ptr)]),
+        rows=np.concatenate([t.rows for t in trees]),
+    )
+
+
+def on_thresholds(tree):
+    """One point per internal node of a one-feature tree, at that node's threshold: it reaches the node and ties it."""
+    return tree.threshold[tree.feature >= 0].reshape(-1, 1)
+
+
+def leaves_by_tree(nodes, xmat):
+    """The fixed-depth walk's leaves, (points, trees), as tree-local ids."""
+    return _descend(nodes, nodes.roots, xmat).reshape(xmat.shape[0], -1) - nodes.roots
+
+
+class TestFixedDepthWalk:
+    """The fixed-depth walk against the stack walk in _oracles, on the grower corpus and on hand-built stores."""
+
+    @pytest.mark.parametrize("data,cfg", list(_corpus()))
+    def test_leaves_equal_stack_walk(self, data, cfg):
+        forest = fit(data, cfg)
+        xs = np.concatenate([data.features, toy_dataset(n=50, seed=46, model="complex").features[:, : data.p]])
+        walked = leaves_by_tree(forest._nodes, xs)
+        for t, tree in enumerate(forest.trees):
+            assert np.array_equal(walked[:, t], tree_leaves(tree, xs))
+            assert np.array_equal(apply(tree, xs), tree_leaves(tree, xs))
+
+    @pytest.mark.parametrize("model", ["aft1d", "sine1d"])
+    def test_points_on_a_threshold_go_left(self, model):
+        d = tie_heavy(model, 300, 47)
+        forest = fit(d, ForestConfig(min_node_size=1, n_trees=5, seed=48))
+        for tree in forest.trees:
+            xs = on_thresholds(tree)
+            assert xs.size
+            assert np.array_equal(apply(tree, xs), tree_leaves(tree, xs))
+        xs = np.concatenate([on_thresholds(tree) for tree in forest.trees])
+        walked = leaves_by_tree(forest._nodes, xs)
+        for t, tree in enumerate(forest.trees):
+            assert np.array_equal(walked[:, t], tree_leaves(tree, xs))
+
+    def test_single_leaf_trees(self):
+        d = toy_dataset(n=40, seed=49, model="aft-multi")
+        leaf = fit(d, ForestConfig(min_node_size=40, n_trees=3, seed=50))
+        assert leaf._nodes.walk[2] == 0 and all(tree.feature.tolist() == [-1] for tree in leaf.trees)
+        xs = toy_dataset(n=9, seed=51, model="aft-multi").features
+        assert np.array_equal(_descend(leaf._nodes, leaf._nodes.roots, xs), np.tile([0, 1, 2], 9))
+        assert np.array_equal(apply(leaf.trees[1], xs), np.zeros(9))
+        # depth-0 trees among deep ones: a leaf root steps back to itself for the deep trees' depth
+        deep = fit(d, ForestConfig(min_node_size=2, n_trees=3, seed=52))
+        trees = [leaf.trees[0], deep.trees[0], leaf.trees[1], deep.trees[1], deep.trees[2], leaf.trees[2]]
+        nodes = stacked(trees)
+        _check_store(nodes, len(trees), d.p, d.n)
+        assert nodes.walk[2] == max(tree.walk[2] for tree in trees) > 0
+        walked = leaves_by_tree(nodes, xs)
+        for t, tree in enumerate(trees):
+            assert np.array_equal(walked[:, t], tree_leaves(tree, xs))
+
+    def test_walk_tables(self):
+        d = toy_dataset(n=120, seed=53, model="aft-multi")
+        f = fit(d, ForestConfig(min_node_size=3, n_trees=4, seed=54))
+        nodes = f._nodes
+        child, feature, depth = nodes.walk
+        assert nodes.walk is nodes.walk  # derived once per store
+        assert child.dtype == feature.dtype == np.int32
+        assert (child.nbytes + feature.nbytes) / nodes.feature.size == 12
+        internal = nodes.feature >= 0
+        g = np.arange(nodes.feature.size)
+        root = nodes.roots[np.searchsorted(nodes.roots, g, side="right") - 1]
+        assert np.array_equal(child[0::2], np.where(internal, root + nodes.left, g))
+        assert np.array_equal(child[1::2], np.where(internal, root + nodes.right, g))
+        assert np.array_equal(feature, np.where(internal, nodes.feature, 0))
+        # depth: the longest root-to-leaf path of any tree
+        level = {int(r): 0 for r in nodes.roots}
+        for node in g:  # children come after their parent
+            if internal[node]:
+                level[int(child[2 * node])] = level[int(child[2 * node + 1])] = level[int(node)] + 1
+        assert depth == max(level.values())
+
+    @pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+                                         (65_536, np.uint32)])
+    def test_rows_in_the_smallest_dtype_holding_n(self, n, dtype, tmp_path):
+        # the dtype holds the pad row n of growth as well as every row
+        d = uncensored(np.arange(n, dtype=np.float64).reshape(-1, 1) % 7, np.arange(n) % 5)
+        small = n < 1000
+        cfg = ForestConfig(min_node_size=5 if small else n, n_trees=3 if small else 1, seed=55)
+        f = fit(d, cfg)
+        path = tmp_path / "model.npz"
+        save_forest(f, path)
+        with np.load(path) as archive:
+            assert archive["rows"].dtype == np.int32
+        g = load_forest(path, d)
+        for nodes in (f._nodes, g._nodes):
+            assert nodes.rows.dtype == dtype and nodes.rows.size == cfg.n_trees * n
+            assert np.array_equal(nodes.rows, f._nodes.rows)
+        if small:
+            assert differing_trees(f.trees, reference_trees(d.features, d.response, cfg, 1)) == []
+
+
 class TestSupportGrid:
     def test_distinct_sorted_and_mass(self):
         y = np.array([3.0, 1.0, 2.0, 2.0, 5.0])
@@ -600,9 +703,8 @@ class TestSerialization:
             arrays = {name: archive[name] for name in archive.files}
         head = json.loads(str(arrays.pop("header")))
         assert list(arrays) == ["feature", "threshold", "left", "right", "roots", "row_ptr", "rows"]
-        for name, a in arrays.items():
-            ref = getattr(f._nodes, name)
-            assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+        for name, a in arrays.items():  # by value: the file's rows are int32, the store's compact
+            assert np.array_equal(a, getattr(f._nodes, name), equal_nan=True), name
         assert arrays["rows"].dtype == np.int32
         digest = head.pop("digest")
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")

@@ -1,7 +1,9 @@
-"""The package and its file commands start without loading scipy.
+"""The package and its file commands start without loading scipy or a thread pool.
 
-scipy is only needed for the simulators' true quantiles; each check runs in
-a fresh interpreter so that other tests' imports do not count.
+scipy is only needed for the simulators' true quantiles, and
+``concurrent.futures`` (with the ``logging`` it loads) only for a predict
+run on more than one thread; each check runs in a fresh interpreter so
+that other tests' imports do not count.
 """
 
 import json
@@ -10,11 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))))
 """
 
 PIPELINE = """
@@ -36,7 +40,8 @@ for argv in [
 """
 
 
-def _scipy_modules(code, *args):
+def _modules(code, *args):
+    """The scipy and concurrent modules loaded once ``code`` has run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code + REPORT, *args],
@@ -50,15 +55,50 @@ def _scipy_modules(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_import_does_not_load_scipy():
-    assert _scipy_modules("import cqforest") == []
+def _scipy(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
 
 
-def test_file_commands_do_not_load_scipy(tmp_path):
-    assert _scipy_modules(PIPELINE, str(tmp_path)) == []
-    assert (tmp_path / "eval.csv").read_text().startswith("tau,")
+@pytest.fixture(scope="module")
+def imported():
+    return _modules("import cqforest")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pipeline")
+    modules = _modules(PIPELINE, str(d))
+    assert (d / "eval.csv").read_text().startswith("tau,")
+    return modules
+
+
+def test_import_does_not_load_scipy(imported):
+    assert _scipy(imported) == []
+
+
+def test_file_commands_do_not_load_scipy(pipeline):
+    assert _scipy(pipeline) == []
+
+
+def test_import_does_not_load_concurrent_futures(imported):
+    assert "concurrent.futures" not in imported
+
+
+def test_file_commands_do_not_load_concurrent_futures(pipeline):
+    assert "concurrent.futures" not in pipeline
 
 
 def test_true_quantile_loads_scipy():
     # the probe above does see scipy once something asks for it
-    assert "scipy" in _scipy_modules("import cqforest\ncqforest.true_quantile('aft1d', 1.0, 0.5)")
+    assert "scipy" in _modules("import cqforest\ncqforest.true_quantile('aft1d', 1.0, 0.5)")
+
+
+def test_threads_load_concurrent_futures():
+    # ... and the pool's module once a predict asks for more than one thread
+    code = """
+import cqforest as cqf
+d = cqf.simulate(cqf.SimConfig(model="aft1d", n=40, censor_rate_param=0.2, seed=1))
+f = cqf.fit(d, cqf.ForestConfig(min_node_size=5, n_trees=3))
+cqf.predict_batch(f, d, d.features[:3], cqf.CqrConfig(), threads=2)
+"""
+    assert "concurrent.futures" in _modules(code)

@@ -13,6 +13,7 @@ from cqforest.survival import (
     km,
     km_knn,
     nearest_rows,
+    _nearest,
 )
 
 from _oracles import (
@@ -21,6 +22,17 @@ from _oracles import (
     top_k_rows,
     weighted_censoring_survival,
 )
+from _oracles import nearest_rows as argsort_nearest_rows
+
+
+def padded_block(rows, n):
+    """(idx, val, nnz) of sparse rows given as (index, value) pairs in any order, padded with row n and weight 0."""
+    nnz = np.array([len(index) for index, _ in rows])
+    idx = np.full((len(rows), nnz.max()), n)
+    val = np.zeros(idx.shape)
+    for i, (index, value) in enumerate(rows):
+        idx[i, : nnz[i]], val[i, : nnz[i]] = index, value
+    return idx, val, nnz
 
 
 def make_dataset(x, y, event):
@@ -299,6 +311,50 @@ class TestKmKnn:
             km_knn(d, w, 0)
         with pytest.raises(DataError):
             km_knn(d, w, 2)
+
+
+class TestNearestSelection:
+    """``_nearest``'s selection against the stable-argsort rule (``top_k_rows``, ``_oracles.nearest_rows``)."""
+
+    def tie_heavy_rows(self, rng, n, count):
+        """Rows over n training rows whose weights take three values, so ties fall at the k-th weight."""
+        rows = []
+        for _ in range(count):
+            support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)  # out of index order
+            raw = rng.choice([1.0, 2.0, 3.0], size=support.size)
+            rows.append((support, raw / raw.sum()))
+        return rows
+
+    def test_block_matches_stable_argsort(self):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            rows = self.tie_heavy_rows(rng, n, 6)
+            sizes = sorted({len(index) for index, _ in rows})
+            # nnz < k, nnz == k and k == n, for some row of the block
+            for k in {1, n, *sizes, *(min(s + 2, n) for s in sizes)}:
+                got = _nearest(*padded_block(rows, n), k, n)
+                for (index, value), top in zip(rows, got):
+                    dense = np.zeros(n)
+                    dense[index] = value
+                    w = WeightVector(index, value, n)
+                    assert top.tolist() == top_k_rows(dense, k)
+                    assert np.array_equal(top, argsort_nearest_rows(w, k))
+
+    def test_rows_out_of_index_order(self):
+        index = np.array([6, 2, 9, 0, 4])
+        value = np.array([0.25, 0.125, 0.25, 0.125, 0.25])
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            idx, val, nnz = padded_block([(index[order], value[order])], 10)
+            assert _nearest(idx, val, nnz, 2, 10).tolist() == [[4, 6]]
+            assert _nearest(idx, val, nnz, 4, 10).tolist() == [[0, 4, 6, 9]]
+            assert _nearest(idx, val, nnz, 7, 10).tolist() == [[0, 1, 2, 3, 4, 6, 9]]
+
+    def test_every_row_with_fewer_weighted_rows_than_k(self):
+        # a block where no row holds k weighted rows: every kept entry above the k-th is real, the rest fill
+        rows = [(np.array([3]), np.array([1.0])), (np.array([1, 0]), np.array([0.5, 0.5]))]
+        assert _nearest(*padded_block(rows, 6), 4, 6).tolist() == [[0, 1, 2, 3], [0, 1, 2, 3]]
+        assert _nearest(*padded_block(rows, 6), 6, 6).tolist() == [list(range(6))] * 2
 
 
 class TestMonotoneRangeProperty:
