@@ -9,6 +9,7 @@ conditional quantiles are provided for benchmarking.
 import csv
 import math
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -52,6 +53,22 @@ def check_int(name, value, low):
     if value < low:
         raise DataError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def check_fits(name, value, need):
+    """DataError naming argument ``name`` (set to ``value``) when ``need`` bytes exceed the machine's physical memory.
+
+    A command sizes its largest allocations from its arguments and calls
+    this before it allocates any of them, so an argument too large for
+    the machine fails at once instead of in a ``MemoryError``. Where the
+    operating system does not report its memory, nothing is refused.
+    """
+    try:
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > limit:
+        raise DataError(f"{name}={value} needs {need:,} bytes, more than the {limit:,} bytes of physical memory")
 
 
 def check_real(name, value, low=-math.inf, high=math.inf):
@@ -204,6 +221,7 @@ class SimConfig:
         if self.model not in MODELS:
             raise DataError(f"unknown model {self.model!r}; choose from {MODELS}")
         object.__setattr__(self, "n", check_int("n", self.n, 1))
+        check_fits("n", self.n, self.n * model_dim(self.model) * 8)  # the float64 features
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
         for name in ("censor_rate_param", "noise_sd"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0))

@@ -17,9 +17,10 @@ With fully observed data G is identically 1 and the selected candidate
 coincides with the weighted-CDF quantile read straight off the forest.
 
 Every predictor solves a block of points at once (``_solve``): the
-points' sparse weight rows are padded on the right to the block's widest
-support, and each step of the per-point solve (sort, suffix sums,
-censoring curve, root) runs row-wise over the whole block. Each row gets
+points' sparse weight rows, already in response order, are padded on the
+right to the block's widest support, and each step of the per-point
+solve (suffix sums, censoring curve, root) runs row-wise over the whole
+block. Each row gets
 the same sums and products of the same doubles in the same order as a
 point solved alone, so the results do not depend on the blocking. The
 kernels live with their steps (``_Support`` in ``forest.py``, the

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataError, check_floats, check_int, check_real, check_rows, check_tau
+from .data import DataError, check_fits, check_floats, check_int, check_real, check_rows, check_tau
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class WeightVector:
             raise DataError("index/value shape mismatch")
         keep = value != 0  # a negative value stays, for _check_row to refuse
         index, value = index[keep], value[keep]
-        if (np.diff(index) <= 0).any():  # from_dense indices arrive strictly increasing
+        if (np.diff(index) <= 0).any():  # from_dense indices arrive ascending; forest_weights' in response order
             order = np.argsort(index, kind="stable")
             index, value = index[order], value[order]
         _check_row(index, value, n)
@@ -185,6 +185,11 @@ class Forest:
     @cached_property
     def trees(self):
         return _trees(self._nodes)
+
+    @cached_property
+    def _by_response(self):
+        """The training rows in (response, index) order: the stable argsort of ``response``, derived on first use and never saved (8 bytes a row)."""
+        return np.argsort(self.response, kind="stable")
 
 
 # cells (nodes x mtry x padded width) scored in one pass: enough to spread
@@ -419,7 +424,9 @@ def fit(data, cfg, threads=1, feature_names=None):
     ``_Group``, whose bag becomes the forest's ``rows`` store. ``threads``
     must be at least 1 but growth is serial: a thread pool over groups of
     trees ran slower than one thread, because the Python bookkeeping
-    holds the GIL. Censoring flags play no role here.
+    holds the GIL. Censoring flags play no role here. A forest whose
+    ``rows`` store would not fit in physical memory is refused before
+    any tree's generator is made.
     """
     check_int("threads", threads, 1)
     if cfg.min_node_size > data.n:
@@ -427,6 +434,8 @@ def fit(data, cfg, threads=1, feature_names=None):
     mtry = cfg.mtry if cfg.mtry is not None else math.ceil(data.p / 3)
     if mtry > data.p:
         raise DataError("mtry exceeds the number of features")
+    # the rows store: n bag rows per tree in _Nodes' compact dtype
+    check_fits("n_trees", cfg.n_trees, data.n * cfg.n_trees * np.min_scalar_type(data.n).itemsize)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     ranks = _ranks(data.features)
     # each rank and response gets a pad entry at row n, for _Group's padded pass
@@ -479,19 +488,24 @@ _WALK_LANES = 1 << 14
 
 
 def _weight_rows(forest, xmat):
-    """Sparse weights at each row of xmat, one (index, value) pair per point.
+    """Sparse weights at each row of xmat, one (index, value) pair per point, in (response, index) order.
 
     Each point gathers the in-bag rows of its leaf in every tree, in
     tree order and leaf-row order within a leaf (the order a tree-by-tree
     scatter adds them in), and adds 1/(trees * leaf size) per row with one
     ``bincount``. bincount adds its inputs in the order given, starting
-    from zero, so the sum is bit-identical to that scatter; the indices
-    are its nonzero entries, ascending. Points are walked in blocks of
-    about ``_WALK_LANES`` lanes, so the walk's temporaries stay near
-    1 MiB whatever the batch size. ``xmat`` must already have passed
-    ``_points``.
+    from zero, so the sum is bit-identical to that scatter. The n bins are
+    then read in (response, index) order (``Forest._by_response``), so the
+    row's nonzero entries come out in the order ``_Support`` reads. That
+    is one take over the bins; the store is never relabelled or copied,
+    and relabelling the gathered rows instead was slower wherever they
+    outnumber the bins, as they do at the default node size. Points are
+    walked in blocks of about ``_WALK_LANES`` lanes, so the walk's
+    temporaries stay near 1 MiB whatever the batch size. ``xmat`` must
+    already have passed ``_points``.
     """
     nodes, n = forest._nodes, forest.n_train
+    perm = forest._by_response
     b = nodes.roots.size  # trees
     block = max(1, _WALK_LANES // b)
     for lo in range(0, xmat.shape[0], block):
@@ -500,9 +514,9 @@ def _weight_rows(forest, xmat):
             start = nodes.row_ptr[point_leaves]
             size = nodes.row_ptr[point_leaves + 1] - start
             gather = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
-            mass = np.bincount(nodes.rows[gather], weights=np.repeat(1.0 / (b * size), size), minlength=n)
-            index = np.flatnonzero(mass)
-            yield index, mass[index]
+            mass = np.bincount(nodes.rows[gather], weights=np.repeat(1.0 / (b * size), size), minlength=n).take(perm)
+            r = np.flatnonzero(mass)
+            yield perm.take(r), mass[r]
 
 
 def _points(xmat, p, one=False):
@@ -597,23 +611,23 @@ def _reversed_cumsum(a):
 
 
 class _Support:
-    """A block of sparse weight rows, padded on the right and sorted by response.
+    """A block of sparse weight rows in response order, padded on the right.
 
-    ``rows`` are (index, value) pairs: strictly increasing training-row
-    indices with positive weights summing to one. They are trusted, as
-    they come from one of two sources: the forest's own leaves through
-    ``_weight_rows``, or a ``WeightVector``, which checked its row when it
-    was built. Rows are padded to the
-    widest support with index n (response +inf, event true) and weight
-    0, so a stable sort leaves every pad after the real entries, a
+    ``rows`` are (index, value) pairs: distinct training-row indices in
+    ascending (response, index) order, with positive weights summing to
+    one. They are trusted, as they come from one of two sources: the
+    forest's own leaves through ``_weight_rows``, or a ``WeightVector``
+    through ``_row``, which sorts the row its constructor checked. Rows
+    are padded to the widest support with index n (response +inf, event
+    true) and weight 0, so every pad lies after the real entries, a
     reversed cumsum adds only 0.0 before them and a cumprod multiplies
     only by 1.0 after them: each row's real entries get the same bits as
-    the row alone.
+    the row alone. The order is the one a stable sort by response gives
+    an index-ascending row, so nothing here sorts.
 
-    ``idx``/``val`` are the padded rows in index order; ``order`` sorts
-    each row stably by response, ``ys`` holds the sorted responses and
-    ``suffix[:, j]`` the weight at sorted positions j and above (0 at
-    j = width), the sums ``_mass_above`` reads.
+    ``idx``/``val`` are the padded rows, ``ys`` their responses, ascending
+    in each row, and ``suffix[:, j]`` the weight at positions j and above
+    (0 at j = width), the sums ``_mass_above`` reads.
     """
 
     def __init__(self, rows, y):
@@ -623,18 +637,16 @@ class _Support:
         value = np.concatenate([value for _, value in rows])
         width = int(nnz.max())
         if nnz.size == 1:  # a single-point query needs no padding (about 3% of its time)
-            self.idx, self.val, ys = index[None, :], value[None, :], y.take(index)[None, :]
+            self.idx, self.val, self.ys = index[None, :], value[None, :], y.take(index)[None, :]
         else:
             # a row-major boolean mask lists each row's real cells in the rows' concatenated order
             real = np.arange(width) < nnz[:, None]
             self.idx = np.full(real.shape, n)
             self.val = np.zeros(real.shape)
-            ys = np.full(real.shape, np.inf)
-            self.idx[real], self.val[real], ys[real] = index, value, y.take(index)
-        self.order = np.argsort(ys, axis=1, kind="stable")
-        self.ys = _take_rows(ys, self.order)
+            self.ys = np.full(real.shape, np.inf)
+            self.idx[real], self.val[real], self.ys[real] = index, value, y.take(index)
         self.suffix = np.zeros((nnz.size, width + 1))
-        self.suffix[:, :width] = _reversed_cumsum(_take_rows(self.val, self.order))
+        self.suffix[:, :width] = _reversed_cumsum(self.val)
 
     @classmethod
     def of(cls, w, y):
@@ -649,10 +661,15 @@ def _mass_above(sup, q):
 
 
 def _row(w, y):
-    """The (index, value) row of ``WeightVector`` w, else DataError if w does not span y's rows."""
+    """The (index, value) row of ``WeightVector`` w in (response, index) order, else DataError if w does not span y's rows.
+
+    ``w.index`` ascends, so one stable sort by response puts ties in
+    index order: the order ``_weight_rows`` yields and ``_Support`` reads.
+    """
     if w.n != y.size:
         raise DataError(f"weights span {w.n} rows, but there are {y.size} responses")
-    return w.index, w.value
+    order = np.argsort(y.take(w.index), kind="stable")
+    return w.index.take(order), w.value.take(order)
 
 
 def _weighted_quantile_table(rows, y, taus):

@@ -115,19 +115,21 @@ def km(y, event):
 
 
 def _beran_rf(sup, event, first):
-    """``beran_rf`` at every row of a ``_Support`` block, read at each stable-sorted position.
+    """``beran_rf`` at every row of a ``_Support`` block, read at each of its positions.
 
-    Rows are ordered by response, events first within ties, then by
-    index; each tie group shares the risk mass counted at its start
-    (``first``). Weights are rescaled by the row's maximum, so a uniform
-    row gives ``_km``'s factors exactly. A group's last position holds
-    the curve at its response.
+    The block's rows arrive in (response, index) order, and one stable
+    sort moves events first within each tie group: rows are taken by
+    response, events first within ties, then by index. Each tie group
+    shares the risk mass counted at its start (``first``). Weights are
+    rescaled by the row's maximum, so a uniform row gives ``_km``'s
+    factors exactly. A group's last position holds the curve at its
+    response.
     """
-    censored = ~_take_rows(np.append(event, True).take(sup.idx), sup.order)
-    # the stable response order is already grouped, so one stable sort of
+    censored = ~np.append(event, True).take(sup.idx)
+    # the response order is already grouped, so one stable sort of
     # (group, censored) keys moves events first within each tie group
     events_first = np.argsort(2 * first + censored, axis=1, kind="stable")
-    u = _take_rows(_take_rows(sup.val, sup.order), events_first) / sup.val.max(axis=1)[:, None]
+    u = _take_rows(sup.val, events_first) / sup.val.max(axis=1)[:, None]
     risk = _take_rows(_reversed_cumsum(u), first)
     censored = _take_rows(censored, events_first)
     factors = 1.0 - np.divide(u, risk, out=np.zeros_like(u), where=censored)

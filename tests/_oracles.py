@@ -6,6 +6,7 @@ The rest are the package's own former implementations, kept as the
 reference for the faster code that replaced them:
 
 - the float-sort tree grower (``grow_tree``);
+- the index-ordered forest weight rows (``weight_rows``);
 - the per-point root pass (``root_pass``) and the per-point bodies it is
   built from: ``mass_above``, ``support_grid``,
   ``quantile_from_weights``, ``candidate_set``, ``nearest_rows``, the
@@ -160,6 +161,26 @@ def scattered_weights(trees, xmat, n):
             rows = tree.rows[tree.row_ptr[leaf] : tree.row_ptr[leaf + 1]]
             pts = np.flatnonzero(leaves == leaf)
             np.add.at(out, (pts[:, None], rows[None, :]), 1.0 / (len(trees) * rows.size))
+    return out
+
+
+def weight_rows(trees, xmat, n):
+    """Each point's sparse forest weights as (index, value), index ascending: the package's former ``_weight_rows``.
+
+    The leaves come from the stack walk, one tree at a time; the point's
+    leaf rows are gathered in tree order and leaf-row order within a leaf
+    and summed over training-row ids by one ``bincount``, so each weight
+    adds the same doubles in the same order as ``scattered_weights``.
+    """
+    leaves = np.column_stack([tree_leaves(tree, xmat) for tree in trees])
+    out = []
+    for point_leaves in leaves:
+        parts = [tree.rows[tree.row_ptr[leaf] : tree.row_ptr[leaf + 1]] for tree, leaf in zip(trees, point_leaves)]
+        mass = np.bincount(np.concatenate(parts),
+                           weights=np.concatenate([np.full(r.size, 1.0 / (len(trees) * r.size)) for r in parts]),
+                           minlength=n)
+        index = np.flatnonzero(mass)
+        out.append((index, mass[index]))
     return out
 
 

@@ -30,8 +30,14 @@ from _oracles import root_pass
 TAUS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def in_response_order(rows, y):
+    """(index, value) rows as the block pass reads them: each put in (response, index) order through ``_row``."""
+    return [forest_module._row(WeightVector(i, v, y.size), y) for i, v in rows]
+
+
 def block_table(rows, data, cfg):
-    """(points, taus, 4) float64 table of the block pass's prediction fields."""
+    """(points, taus, 4) float64 table of the block pass's prediction fields; hand-built rows may come in index order."""
+    rows = in_response_order(rows, data.response)
     preds = estimator._predictions(np.zeros((len(rows), 1)), rows, data, cfg)
     return np.array(
         [[(p.q_hat, p.residual, p.candidate_count, p.degenerate_tail) for p in per_point] for per_point in preds],
@@ -82,7 +88,11 @@ class TestAgainstPerPointReference:
         for data in (simulate(SimConfig(model="aft1d", n=200, censor_rate_param=0.08, seed=2)), tie_heavy(3, n=200)):
             forest = fit(data, ForestConfig(min_node_size=10, n_trees=20, seed=4))
             xmat = _points(data.features[::5], data.p)
-            assert_same_bytes(list(_weight_rows(forest, xmat)), data, cfg)
+            rows = list(_weight_rows(forest, xmat))
+            # the forest's rows already come in the order block_table puts hand-built rows in
+            for (i, v), (j, u) in zip(rows, in_response_order(rows, data.response)):
+                assert i.tobytes() == j.tobytes() and v.tobytes() == u.tobytes()
+            assert_same_bytes(rows, data, cfg)
 
     def test_ties_with_mixed_event_flags(self, cfg):
         data = Dataset(
@@ -179,6 +189,7 @@ class TestWeightedQuantileTable:
         data = tie_heavy(16, n=80)
         rows = random_rows(np.random.default_rng(17), data.n, 25)
         want = np.array([quantile_from_weights(WeightVector(i, v, data.n), data.response, TAUS) for i, v in rows])
+        rows = in_response_order(rows, data.response)
         assert forest_module._weighted_quantile_table(rows, data.response, TAUS).tobytes() == want.tobytes()
         monkeypatch.setattr(forest_module, "_BLOCK_CELLS", 100)
         assert forest_module._weighted_quantile_table(rows, data.response, TAUS).tobytes() == want.tobytes()

@@ -3,8 +3,10 @@
 Each CLI example sets one numeric flag of a command that succeeds as given,
 or one numeric key of a bench spec, to a drawn integer, float or special
 value; the run must exit 0, 2 or 3 and never 4. Sizes stay small (``--n``
-up to 60, ``--trees`` up to 4, bench runs of a few dozen rows), so large
-values of those flags are not tried. Every ``ForestConfig`` that ``fit``
+up to 60, ``--trees`` up to 4, bench runs of a few dozen rows). Larger
+values of ``--n`` and ``--trees`` are tried only above physical memory,
+where the up-front size check must refuse them (exit 3) before anything
+is allocated; values in between would allocate, and are not tried. Every ``ForestConfig`` that ``fit``
 accepts, numpy scalars included, must save and load back equal, with
 Python field types. Each library argument of ``test_data.NUMERIC_ARGUMENTS``,
 given a drawn number, numpy scalar or non-number, must either succeed or
@@ -16,6 +18,8 @@ a list or a nested list of them, or a numpy array of any dtype.
 
 import contextlib
 import io
+import os
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -113,6 +117,53 @@ def test_numeric_spec_value_exits_0_or_3(workspace, scenario, entry):
     path.write_text("\n".join(lines) + "\n")
     code, err = run(f"bench --spec {path} --out-dir {workspace / 'bench_out'}")
     assert code in (0, 3), err
+
+
+# more bytes than the machine's physical memory: every --n or --trees at least this large is refused up front
+PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+HUGE = [
+    ("simulate --model aft1d --n {v} --lambda 0.1 --seed 1 --out {out}", "n"),
+    ("simulate --model complex --n {v} --lambda 0.1 --seed 1 --out {out}", "n"),
+    ("fit --data {ws}/train.csv --trees {v} --node-size 5 --model-out {out}", "n_trees"),
+]
+
+
+def assert_refused_up_front(workspace, argv, name, value):
+    """The CLI run exits 3 naming the argument, having allocated next to nothing and written nothing."""
+    out = workspace / "huge"
+    tracemalloc.start()
+    try:
+        code, err = run(argv.format(ws=workspace, out=out, v=value))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and f"{name}={value} needs" in err and "physical memory" in err, err
+    assert peak < 4 << 20 and not out.exists()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=st.sampled_from(HUGE), value=st.integers(PHYSICAL + 1, 2**200))
+def test_size_beyond_physical_memory_exits_3_before_allocating(workspace, case, value):
+    assert_refused_up_front(workspace, *case, value)
+
+
+@pytest.mark.parametrize("case,value,need", [
+    (HUGE[0], 10**12, 8 * 10**12),  # one float64 feature a row
+    (HUGE[2], 10**11, 40 * 10**11),  # a uint8 row id per bag row, 40 rows a tree
+])
+def test_documented_huge_commands_exit_3(workspace, case, value, need):
+    if need <= PHYSICAL:
+        pytest.skip("this machine holds the allocation, so the command would run")
+    assert_refused_up_front(workspace, *case, value)
+
+
+def test_library_refuses_sizes_beyond_physical_memory(small_data):
+    with pytest.raises(DataError, match=r"^n=\d+ needs \d[\d,]* bytes"):
+        SimConfig(model="aft-multi", n=PHYSICAL // 40 + 1, censor_rate_param=0.1)
+    SimConfig(model="aft-multi", n=PHYSICAL // 40 - 1, censor_rate_param=0.1)  # only a config: nothing is drawn
+    trees = PHYSICAL // small_data.n + 1  # one byte a row: n=30 fits uint8
+    with pytest.raises(DataError, match=rf"^n_trees={trees} needs"):
+        fit(small_data, ForestConfig(min_node_size=5, n_trees=trees))
 
 
 def as_int(values):

@@ -1,9 +1,10 @@
-"""Property tests of a query's two selections: the fixed-depth tree walk and the k nearest rows.
+"""Property tests of a query's selections: the fixed-depth tree walk, the weight rows and the k nearest rows.
 
 The walk must reach the leaves of the stack walk in ``_oracles`` (points
-drawn on the forest's own thresholds included), and ``_nearest`` must
-pick the rows of the stable-argsort rule, whatever the order of a row's
-entries.
+drawn on the forest's own thresholds included), each weight row must be
+the index-ordered reference row put in (response, index) order, and
+``_nearest`` must pick the rows of the stable-argsort rule, whatever the
+order of a row's entries.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from cqforest.survival import _nearest  # noqa: E402
 from _oracles import top_k_rows, tree_leaves  # noqa: E402
 from test_forest import leaves_by_tree  # noqa: E402
 from test_survival import padded_block  # noqa: E402
+from test_weight_order import assert_rows_match_the_reference  # noqa: E402
 
 X_VALUES = [-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]
 
@@ -56,6 +58,12 @@ def test_walk_reaches_the_stack_walks_leaves(case):
         want = tree_leaves(tree, xs)
         assert np.array_equal(walked[:, t], want)
         assert np.array_equal(apply(tree, xs), want)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=forests_and_points())
+def test_weight_rows_are_the_reference_in_response_order(case):
+    assert_rows_match_the_reference(*case)
 
 
 @st.composite
