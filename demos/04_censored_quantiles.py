@@ -23,7 +23,7 @@ from cqforest import (
 
 data = simulate(SimConfig(model="aft1d", n=1500, censor_rate_param=0.2, seed=8))
 print(f"censored fraction: {1.0 - data.event.mean():.1%}")
-forest = fit(data, ForestConfig(min_node_size=150, n_trees=200, seed=0), threads=2)
+forest = fit(data, ForestConfig(min_node_size=150, n_trees=200, seed=0))
 
 cfg = CqrConfig(taus=(0.1, 0.5, 0.9))
 for xv in (0.5, 1.0, 1.5):

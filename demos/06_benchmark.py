@@ -23,7 +23,7 @@ spec = ExperimentSpec(
     seed=0,
 )
 with tempfile.TemporaryDirectory() as out_dir:
-    results_path, aggregate_path = run(spec, out_dir, threads=2)
+    results_path, aggregate_path = run(spec, out_dir)
     print(f"wrote {Path(results_path).name} and {Path(aggregate_path).name} to a temporary directory\n")
     with open(aggregate_path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.DictReader(fh) if r["metric"] == "l_quantile"]

@@ -187,12 +187,12 @@ def _crf_variants(spec, node_size):
     return ()
 
 
-def _score_models(spec, rows, threads):
+def _score_models(spec, rows):
     model = _SCENARIO_MODEL[spec.scenario]
     plain = spec.scenario != "survival-comparison"
     for rep, m, train, test, fcfg, forest in _replications(spec, [(spec.n_train, (), _node_sizes(spec))]):
         weights = _weights(forest, test.features)
-        tables = [(label, _qhat_table(weights, train, cfg, threads)) for label, cfg in _crf_variants(spec, m)]
+        tables = [(label, _qhat_table(weights, train, cfg)) for label, cfg in _crf_variants(spec, m)]
         # plain weighted quantiles: of the observed response, and of the
         # latent response under a forest refitted on it
         if plain and "qrf" in spec.methods:
@@ -216,22 +216,22 @@ def _run_illustrative(spec, rows):
                 _emit(rows, spec.scenario, "u2", tau, n, rep, "root", u2)
 
 
-def _score_coverage(spec, rows, threads, level=0.95):
+def _score_coverage(spec, rows, level=0.95):
     alpha = (1.0 - level) / 2.0
     cfg = CqrConfig(taus=(alpha, 1.0 - alpha))
     for rep, m, train, test, _, forest in _replications(spec, [(spec.n_train, (), _node_sizes(spec)[:1])]):
-        lo, hi = _qhat_table(_weights(forest, test.features), train, cfg, threads).T
+        lo, hi = _qhat_table(_weights(forest, test.features), train, cfg).T
         covered = (test.latent >= lo) & (test.latent <= hi)
         _emit(rows, spec.scenario, "crf", level, m, rep, "coverage", covered.mean())
         _emit(rows, spec.scenario, "crf", level, m, rep, "interval_width", (hi - lo).mean())
 
 
-def _score_runtime(spec, rows, threads):
+def _score_runtime(spec, rows):
     cfg = CqrConfig(taus=(0.5,))
     plan = [(n, (n,), (max(1, n // 10),)) for n in _RUNTIME_SIZES]
     for rep, m, train, test, _, forest in _replications(spec, plan):
         start = time.perf_counter()
-        _qhat_table(_weights(forest, test.features), train, cfg, threads)
+        _qhat_table(_weights(forest, test.features), train, cfg)
         elapsed = time.perf_counter() - start
         _emit(rows, spec.scenario, "crf", 0.5, m, rep, "seconds_per_prediction", elapsed / test.n)
 
@@ -240,20 +240,20 @@ def run(spec, out_dir, threads=1):
     """Execute a benchmark spec and write results.csv + aggregate.csv.
 
     Returns the two file paths. Tables are deterministic given (spec,
-    seed), runtime measurements excepted, and do not depend on
-    ``threads``: the worker threads of the crf root pass (forests are
-    grown serially).
+    seed), runtime measurements excepted. Everything runs serially:
+    ``threads`` is checked, otherwise unused, kept while perfbench
+    passes it.
     """
     check_int("threads", threads, 1)
     rows = []
     if spec.scenario == "illustrative41":
         _run_illustrative(spec, rows)
     elif spec.scenario == "coverage":
-        _score_coverage(spec, rows, threads)
+        _score_coverage(spec, rows)
     elif spec.scenario == "runtime-scaling":
-        _score_runtime(spec, rows, threads)
+        _score_runtime(spec, rows)
     else:
-        _score_models(spec, rows, threads)
+        _score_models(spec, rows)
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     results = (

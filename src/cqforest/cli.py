@@ -29,6 +29,8 @@ from .estimator import CqrConfig, predict_batch
 from .forest import ForestConfig, fit, load_forest, save_forest
 from .metrics import quantile_losses, c_index
 
+_THREADS_HELP = "must be >= 1; checked, otherwise unused, kept while perfbench passes it"
+
 
 def _taus_arg(text):
     try:
@@ -159,7 +161,7 @@ def _build_parser():
     sp.add_argument("--mtry", type=int, default=None, help="features tried per split (default: ceil(p/3))")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--model-out", required=True, help="output model file (.npz archive, written to this exact path)")
-    sp.add_argument("--threads", type=int, default=1, help="must be >= 1; trees are grown serially at any count")
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("predict", help="estimate quantiles at new feature points")
@@ -174,7 +176,7 @@ def _build_parser():
         help="censoring-curve estimator: beran-rf or km-knn:<k>",
     )
     sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads for the block root pass (>= 1)")
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_predict)
 
     sp = sub.add_parser("evaluate", help="score a prediction file against outcomes")
@@ -187,7 +189,7 @@ def _build_parser():
     sp = sub.add_parser("bench", help="run a benchmark spec file")
     sp.add_argument("--spec", required=True, help="key=value spec file")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--threads", type=int, default=1, help="worker threads for the crf root pass (>= 1)")
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sp.set_defaults(func=_cmd_bench)
     return parser
 

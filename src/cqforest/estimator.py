@@ -13,8 +13,8 @@ smallest candidate where S turns nonnegative (the step through zero).
 When no candidate reaches zero — possible only under a restricted
 candidate set — we fall back to the smallest candidate minimizing |S|.
 
-With fully observed data G is identically 1 and the selected candidate
-coincides with the weighted-CDF quantile read straight off the forest.
+With fully observed data G is identically 1, and the weighted-CDF
+quantile is read by the same root rule (``_roots``) at G = 1.
 
 Every predictor solves a block of points at once (``_solve``): the
 points' sparse weight rows, already in response order, are padded on the
@@ -23,9 +23,9 @@ solve (suffix sums, censoring curve, root) runs row-wise over the whole
 block. Each row gets
 the same sums and products of the same doubles in the same order as a
 point solved alone, so the results do not depend on the blocking. The
-kernels live with their steps (``_Support`` in ``forest.py``, the
-censoring curves in ``survival.py``), and the public per-point functions
-are blocks of one over them.
+kernels live with their steps (``_Support`` and ``_roots`` in
+``forest.py``, the censoring curves in ``survival.py``), and the public
+per-point functions are blocks of one over them.
 """
 
 from dataclasses import dataclass, replace
@@ -39,9 +39,9 @@ from .forest import (
     _groups,
     _mass_above,
     _points,
+    _roots,
     _row,
     _Support,
-    _take_rows,
     _weight_rows,
     mass_above,
     support_grid,
@@ -114,65 +114,32 @@ def candidate_set(w, y, mode, k=None):
     return support_grid(w, y)[0]
 
 
-def _roots(cand, valid, above, g, taus):
-    """Root of S over each row's valid candidates at every tau, with its diagnostics.
-
-    Returns q_hat, |S(q_hat)| and the degenerate-tail flag, each
-    (points, taus), and the candidate count per point.
-    """
-    s = (1.0 - np.array(taus))[:, None] * g[:, None, :] - above[:, None, :]
-    s = np.where(valid[:, None, :], s, -np.inf)
-    nonneg = s >= 0.0
-    pos = np.where(nonneg.any(axis=2), nonneg.argmax(axis=2), np.abs(s).argmin(axis=2))
-    # quantiles must not cross as tau grows; the step selection is already
-    # monotone except via the |S| fallback, so clamping is usually a no-op
-    pos = np.maximum.accumulate(pos, axis=1)
-    residual = np.abs(_take_rows(s.reshape(-1, s.shape[2]), pos.reshape(-1, 1))).reshape(pos.shape)
-    return _take_rows(cand, pos), residual, _take_rows(g, pos) == 0.0, valid.sum(axis=1)
-
-
 def _solve(rows, data, cfg):
-    """q_hat, residual, degenerate flag (each (points, taus)) and candidate count for a block of weight rows."""
-    sup = _Support(rows, data.response)
-    if cfg.survival == "beran-rf":
-        first, end = _groups(sup.ys, sup.nnz)
-        cand, valid, above, g = sup.ys, end, sup.suffix[:, 1:], _beran_rf(sup, data.event, first)
-    else:
-        cand, valid, g = _km_knn(sup, data, cfg.knn)
-        above = _mass_above(sup, cand)
-    if cfg.search_radius is not None:
-        valid = valid & (np.abs(cand) <= cfg.search_radius)
-        if not valid.any(axis=1).all():
-            raise DataError("no candidates inside the search radius")
-    return _roots(cand, valid, above, g, cfg.taus)
+    """q_hat, residual, degenerate flag (each (points, taus)) and candidate count, for each block of weight rows in turn."""
+    for block in _blocks(rows, len(cfg.taus), cfg.knn or 1):
+        sup = _Support(block, data.response)
+        if cfg.survival == "beran-rf":
+            first, end = _groups(sup.ys, sup.nnz)
+            cand, valid, above, g = sup.ys, end, sup.suffix[:, 1:], _beran_rf(sup, data.event, first)
+        else:
+            cand, valid, g = _km_knn(sup, data, cfg.knn)
+            above = _mass_above(sup, cand)
+        if cfg.search_radius is not None:
+            valid = valid & (np.abs(cand) <= cfg.search_radius)
+            if not valid.any(axis=1).all():
+                raise DataError("no candidates inside the search radius")
+        yield _roots(cand, valid, above, g, cfg.taus)
 
 
-def _solve_rows(rows, data, cfg, threads=1):
-    """``_solve`` over every block of rows, in order; threads > 1 maps the blocks over a thread pool."""
-
-    def solve(block):
-        return _solve(block, data, cfg)
-
-    blocks = _blocks(rows, len(cfg.taus), cfg.knn or 1)
-    if threads > 1:
-        # imported here: concurrent.futures (and the logging it loads) costs
-        # every import of cqforest about 0.7 MiB and 6 ms otherwise
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, blocks))
-    return [solve(block) for block in blocks]
-
-
-def _qhat_table(rows, data, cfg, threads=1):
+def _qhat_table(rows, data, cfg):
     """(points, len(cfg.taus)) q_hat table from the points' weight rows."""
-    return np.concatenate([q for q, *_ in _solve_rows(rows, data, cfg, threads)])
+    return np.concatenate([q for q, *_ in _solve(rows, data, cfg)])
 
 
-def _predictions(xmat, rows, data, cfg, threads=1):
+def _predictions(xmat, rows, data, cfg):
     """QuantilePrediction lists in cfg.taus order, one per row of xmat, from the points' weight rows."""
     out = []
-    for q, residual, degenerate, count in _solve_rows(rows, data, cfg, threads):
+    for q, residual, degenerate, count in _solve(rows, data, cfg):
         for qs, rs, ds, c in zip(q.tolist(), residual.tolist(), degenerate.tolist(), count.tolist()):
             x = xmat[len(out)]
             out.append([QuantilePrediction(x, tau, a, r, c, d) for tau, a, r, d in zip(cfg.taus, qs, rs, ds)])
@@ -196,10 +163,10 @@ def _check_data(forest, data):
         raise DataError("data is not the training data this forest was fitted on or loaded with")
 
 
-def _predict_points(forest, data, xmat, cfg, threads=1, one=False):
+def _predict_points(forest, data, xmat, cfg, one=False):
     _check_data(forest, data)
     xmat = _points(xmat, forest.n_features, one)
-    return _predictions(xmat, _weight_rows(forest, xmat), data, cfg, threads)
+    return _predictions(xmat, _weight_rows(forest, xmat), data, cfg)
 
 
 def predict_quantile(forest, data, x, tau, cfg=CqrConfig()):
@@ -237,9 +204,8 @@ def predict_batch(forest, data, xmat, cfg, threads=1):
     cfg.taus order. One walk of the forest gives every point's sparse
     weight row; the roots are then solved a block of points at a time,
     with memory O(n_train + support) per point and no (n_test, n_train)
-    matrix. ``threads > 1`` spreads the blocks over a thread pool with
-    the same results; a block's numpy calls are large enough to release
-    the GIL for most of their time, so the pool can use several cores.
+    matrix. The pass is serial: ``threads`` is checked, otherwise unused,
+    kept while perfbench passes it.
     """
     check_int("threads", threads, 1)
-    return _predict_points(forest, data, xmat, cfg, threads)
+    return _predict_points(forest, data, xmat, cfg)

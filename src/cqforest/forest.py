@@ -421,10 +421,10 @@ def fit(data, cfg, threads=1, feature_names=None):
     Each tree draws its own bootstrap bag (n draws with replacement) and
     its own feature subsamples from an independent stream derived from
     ``cfg.seed`` and the tree index. All trees grow in lockstep in one
-    ``_Group``, whose bag becomes the forest's ``rows`` store. ``threads``
-    must be at least 1 but growth is serial: a thread pool over groups of
-    trees ran slower than one thread, because the Python bookkeeping
-    holds the GIL. Censoring flags play no role here. A forest whose
+    ``_Group``, whose bag becomes the forest's ``rows`` store. Growth is
+    serial (a pool over groups of trees ran slower, as the bookkeeping
+    holds the GIL): ``threads`` is checked, otherwise unused, kept while
+    perfbench passes it. Censoring flags play no role here. A forest whose
     ``rows`` store would not fit in physical memory is refused before
     any tree's generator is made.
     """
@@ -660,6 +660,30 @@ def _mass_above(sup, q):
     return np.array([s[np.searchsorted(ys, v, side="right")] for s, ys, v in zip(sup.suffix, sup.ys, q)])
 
 
+def _roots(cand, valid, above, g, taus):
+    """Root of S = (1 - tau) g - above over each row's valid candidates at every tau, with its diagnostics.
+
+    The first valid candidate where ``(1 - tau) g >= above`` (for finite
+    doubles exactly ``S >= 0``); S is computed only at the picks and in
+    the rows where no candidate reaches it, which take the first smallest
+    ``|S|``. Returns q_hat, |S(q_hat)| and the degenerate-tail flag, each
+    (points, taus), and the candidate count per point.
+    """
+    level = 1.0 - np.array(taus)
+    reached = valid[:, None, :] & (level[:, None] * g[:, None, :] >= above[:, None, :])
+    pos = reached.argmax(axis=2)
+    missed = ~reached.any(axis=2)
+    if missed.any():
+        i = np.flatnonzero(missed.any(axis=1))
+        s = np.where(valid[i, None, :], level[:, None] * g[i, None, :] - above[i, None, :], -np.inf)
+        pos[i] = np.where(missed[i], np.abs(s).argmin(axis=2), pos[i])
+    # the step selection is already monotone in tau; only the fallback can cross
+    pos = np.maximum.accumulate(pos, axis=1)
+    gq = _take_rows(g, pos)
+    residual = np.abs(level * gq - _take_rows(above, pos))
+    return _take_rows(cand, pos), residual, gq == 0.0, valid.sum(axis=1)
+
+
 def _row(w, y):
     """The (index, value) row of ``WeightVector`` w in (response, index) order, else DataError if w does not span y's rows.
 
@@ -673,14 +697,12 @@ def _row(w, y):
 
 
 def _weighted_quantile_table(rows, y, taus):
-    """(points, len(taus)) weighted quantiles of y: ``quantile_from_weights`` at every row."""
-    taus = np.array(taus)
+    """(points, len(taus)) weighted quantiles of y at every row: the roots of S at G = 1, taus ascending."""
     out = []
-    for block in _blocks(rows, taus.size):
+    for block in _blocks(rows, len(taus)):
         sup = _Support(block, y)
         _, end = _groups(sup.ys, sup.nnz)
-        reached = end[:, None, :] & (sup.suffix[:, None, 1:] <= (1.0 - taus)[:, None])
-        out.append(_take_rows(sup.ys, reached.argmax(axis=2)))
+        out.append(_roots(sup.ys, end, sup.suffix[:, 1:], np.ones(sup.ys.shape), taus)[0])
     return np.concatenate(out)
 
 
@@ -704,17 +726,24 @@ def mass_above(w, y, q):
     return float(out) if q.ndim == 0 else out
 
 
+def _quantiles(row, y, tau):
+    """``quantile_from_weights`` over one (index, value) row in (response, index) order; levels solved ascending."""
+    scalar = np.ndim(tau) == 0
+    taus = np.array([check_tau(t) for t in ([tau] if scalar else tau)], dtype=np.float64)
+    order = np.argsort(taus, kind="stable")
+    q = np.empty(taus.size)
+    q[order] = _weighted_quantile_table([row], y, taus[order])[0]
+    return float(q[0]) if scalar else q
+
+
 def quantile_from_weights(w, y, tau):
     """Smallest support value whose weighted CDF reaches tau.
 
-    A float for one tau, an array for a sequence of taus; every level is
-    read from one support grid.
+    A float for one tau, an array for a sequence of taus in any order;
+    every level is read from one support grid and equals its scalar call.
     """
-    scalar = np.ndim(tau) == 0
-    taus = [check_tau(t) for t in ([tau] if scalar else tau)]
     y = check_floats("y", y)
-    q = _weighted_quantile_table([_row(w, y)], y, taus)[0]
-    return float(q[0]) if scalar else q
+    return _quantiles(_row(w, y), y, tau)
 
 
 def weighted_mean(forest, x):
@@ -727,9 +756,10 @@ def weighted_quantile(forest, x, tau):
     """Forest-weighted tau-quantile of the training responses at x.
 
     This is the plain quantile-forest read-out of the weighted empirical
-    CDF; it knows nothing about censoring.
+    CDF; it knows nothing about censoring. It reads the walk's row as is.
     """
-    return quantile_from_weights(forest_weights(forest, x), forest.response, tau)
+    xmat = _points(x, forest.n_features, one=True)
+    return _quantiles(next(_weight_rows(forest, xmat)), forest.response, tau)
 
 
 FOREST_FORMAT = "cqforest-forest"

@@ -255,7 +255,7 @@ def test_non_crossing_clamp_binds_where_the_fallback_would_cross():
     # tau 0.9: S = 0.1 g - above = [-0.5, -0.8] is all negative, and the
     # smallest |S| is at the first candidate, below tau 0.1's root
     cand = np.array([[1.0, 2.0]])
-    q_hat, residual, degenerate, count = estimator._roots(
+    q_hat, residual, degenerate, count = forest_module._roots(
         cand, np.ones((1, 2), dtype=bool), np.array([[0.5, 0.9]]), np.array([[0.0, 1.0]]), (0.1, 0.9))
     assert q_hat.tolist() == [[2.0, 2.0]]
     assert residual.tolist() == [[0.0, abs((1.0 - 0.9) * 1.0 - 0.9)]]

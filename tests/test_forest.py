@@ -627,7 +627,7 @@ class TestWeightedQuantile:
 
     def test_grid_equals_scalar_calls(self):
         rng = np.random.default_rng(35)
-        taus = (0.05, 0.1, 0.25, 0.5, 0.5 + 1e-12, 0.75, 0.9, 0.99)
+        taus = (0.9, 0.05, 0.5, 0.25, 0.5 + 1e-12, 0.1, 0.99, 0.5, 0.75)  # any order, repeats too
         cases = []
         for _ in range(20):
             n = int(rng.integers(2, 30))

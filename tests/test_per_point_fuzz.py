@@ -61,7 +61,7 @@ def problems(draw):
     w = WeightVector(index, raw / raw.sum(), n)
     k = draw(st.integers(1, n))
     tau = draw(st.sampled_from(TAUS))
-    taus = tuple(sorted(draw(st.sets(st.sampled_from(TAUS), min_size=1))))
+    taus = tuple(draw(st.lists(st.sampled_from(TAUS), min_size=1, max_size=8)))  # any order, repeats too
     nw = BeranNWConfig(bandwidth=draw(st.sampled_from((0.5, 1.5, 4.0))),
                        kernel=draw(st.sampled_from(("gaussian", "epanechnikov"))))
     return data, w, k, tau, taus, float(draw(st.integers(0, 4))), nw

@@ -1,8 +1,8 @@
 """The package and its file commands start without loading scipy or a thread pool.
 
-scipy is only needed for the simulators' true quantiles, and
-``concurrent.futures`` (with the ``logging`` it loads) only for a predict
-run on more than one thread; each check runs in a fresh interpreter so
+scipy is only needed for the simulators' true quantiles, and nothing
+needs ``concurrent.futures`` (with the ``logging`` it loads): every pass
+runs on the calling thread. Each check runs in a fresh interpreter so
 that other tests' imports do not count.
 """
 
@@ -93,12 +93,17 @@ def test_true_quantile_loads_scipy():
     assert "scipy" in _modules("import cqforest\ncqforest.true_quantile('aft1d', 1.0, 0.5)")
 
 
-def test_threads_load_concurrent_futures():
-    # ... and the pool's module once a predict asks for more than one thread
+def test_threads_do_not_load_concurrent_futures():
+    # every pass is serial: asking for more threads loads no pool either
     code = """
+import tempfile
 import cqforest as cqf
 d = cqf.simulate(cqf.SimConfig(model="aft1d", n=40, censor_rate_param=0.2, seed=1))
 f = cqf.fit(d, cqf.ForestConfig(min_node_size=5, n_trees=3))
 cqf.predict_batch(f, d, d.features[:3], cqf.CqrConfig(), threads=2)
+# coverage: a crf root pass with no true quantiles, whose scipy would load concurrent.futures itself
+spec = cqf.ExperimentSpec(scenario="coverage", replications=1, n_train=40, n_test=5, trees=3, node_sizes=(10,))
+with tempfile.TemporaryDirectory() as out:
+    cqf.bench.run(spec, out, threads=2)
 """
-    assert "concurrent.futures" in _modules(code)
+    assert "concurrent.futures" not in _modules(code)

@@ -16,7 +16,9 @@ import pytest
 
 from cqforest.data import SimConfig, simulate
 from cqforest.estimator import CqrConfig, predict_batch, predict_quantiles
-from cqforest.forest import ForestConfig, WeightVector, _points, _weight_rows, fit, forest_weights
+from cqforest.forest import (
+    ForestConfig, WeightVector, _points, _weight_rows, fit, forest_weights, quantile_from_weights, weighted_quantile,
+)
 
 from _oracles import root_pass, weight_rows
 from test_block_roots import MODES, tie_heavy
@@ -71,6 +73,17 @@ def test_forest_weights_stay_index_ascending(ties):
     w = forest_weights(forest, data.features[0])
     index, value = weight_rows(forest.trees, data.features[:1], data.n)[0]
     assert w.index.tobytes() == index.astype(w.index.dtype).tobytes() and w.value.tobytes() == value.tobytes()
+
+
+def test_weighted_quantile_reads_the_walk_row_as_quantile_from_weights(ties):
+    # the walk's row goes to the read-out as it comes, with no WeightVector and no second sort
+    data, forest = ties
+    grid = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+    for x in [(a, b) for a in grid for b in grid]:
+        for tau in (0.25, 0.5, (0.9, 0.1, 0.5, 0.5)):
+            got = weighted_quantile(forest, x, tau)
+            want = quantile_from_weights(forest_weights(forest, x), data.response, tau)
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_a_query_does_not_copy_the_rows_store():
